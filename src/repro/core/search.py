@@ -2,11 +2,21 @@
 
 Nearest-neighbor search is Hjaltason-Samet best-first search over a
 priority list that mixes two granularities: whole data pages (first-level
-MBRs) and the box approximations of individual points (grid cells of
-loaded quantized pages).  A page that becomes the pivot is loaded and its
-cells enter the list; a *point* that becomes the pivot is refined --
-its exact coordinates are fetched from the third level -- because, as
-the paper argues, no strategy can avoid that look-up.
+MBRs) and the box approximations of individual points (grid or codebook
+cells of loaded quantized pages).  A page that becomes the pivot is
+loaded and its surviving cells join the list; a *point* that becomes the
+pivot is refined -- its exact coordinates are fetched from the third
+level -- because, as the paper argues, no strategy can avoid that
+look-up.
+
+A loaded page's cells do not enter the list one by one.  They are sorted
+once into a *run* ordered by ``(lower bound, local index)`` and only the
+run's head sits in the heap; popping it pushes the run's next cell.  The
+run reserves the contiguous block of tie-break numbers its cells'
+individual pushes would have drawn, so the heap pops exactly the
+``(distance, tie)`` sequence of the one-entry-per-cell list -- same
+refinements, same ledger -- for one push per page plus one per refined
+point instead of one per cell.
 
 Two page-access strategies are available:
 
@@ -122,8 +132,89 @@ def raise_query_error(exc: StorageError, tree, query_id: int):
         block=block,
     ) from exc
 
+# Heap entry kinds: load + expand a page, refine a point, emit an
+# already-exact distance (browsing only).
 _PAGE = 0
 _POINT = 1
+_RESULT = 2
+
+
+class _Ties:
+    """Monotone tie-break numbers for heap entries.
+
+    Heap entries are ``(dist, tie, kind, page, item, run, pos)``; unique
+    ties make ``(dist, tie)`` a total order, so comparison never reaches
+    the payload fields.
+    """
+
+    __slots__ = ("next",)
+
+    def __init__(self, start: int = 0):
+        self.next = start
+
+    def take(self, n: int = 1) -> int:
+        """Reserve ``n`` consecutive numbers; returns the first."""
+        base = self.next
+        self.next += n
+        return base
+
+
+class _Run:
+    """A page's candidates of one kind, sorted for lazy heap entry.
+
+    ``dists`` ascend (stable, so equal distances keep local order);
+    ``ties`` are the numbers individual pushes in local order would have
+    drawn; ``items`` are local cell indices (``_POINT``) or point ids
+    (``_RESULT``).
+    """
+
+    __slots__ = ("kind", "page", "dists", "ties", "items")
+
+    def __init__(self, kind, page, dists, ties, items):
+        self.kind = kind
+        self.page = page
+        self.dists = dists
+        self.ties = ties
+        self.items = items
+
+    def entry(self, pos: int) -> tuple:
+        return (
+            float(self.dists[pos]), int(self.ties[pos]), self.kind,
+            self.page, int(self.items[pos]), self, pos,
+        )
+
+
+def _push_run(heap, ties: _Ties, kind, page, dists, items) -> None:
+    """Enter candidates as one run: push only its smallest entry.
+
+    ``dists``/``items`` are in the order individual pushes would have
+    drawn tie numbers; the run reserves the same contiguous block.
+    """
+    if dists.size == 0:
+        return
+    base = ties.take(dists.size)
+    order = np.argsort(dists, kind="stable")
+    run = _Run(kind, page, dists[order], order + base, items[order])
+    heapq.heappush(heap, run.entry(0))
+
+
+def _pop(heap) -> tuple:
+    """Pop the smallest entry; a run entry's successor takes its place."""
+    entry = heapq.heappop(heap)
+    run, pos = entry[5], entry[6] + 1
+    if run is not None and pos < run.dists.size:
+        heapq.heappush(heap, run.entry(pos))
+    return entry
+
+
+def _page_entries(page_mindists: np.ndarray) -> list[tuple]:
+    """The initial heap: one entry per page, ties ``0..n_pages-1``."""
+    heap = [
+        (dist, i, _PAGE, i, 0, None, 0)
+        for i, dist in enumerate(page_mindists.tolist())
+    ]
+    heapq.heapify(heap)
+    return heap
 
 
 @dataclass
@@ -338,15 +429,11 @@ def _nearest_impl(
         if REGISTRY.enabled:
             LOST_PAGES.inc()
 
-    tie = itertools.count()
-    heap: list[tuple] = [
-        (float(page_mindists[i]), next(tie), _PAGE, i, 0)
-        for i in range(n_pages)
-    ]
-    heapq.heapify(heap)
+    ties = _Ties(n_pages)
+    heap = _page_entries(page_mindists)
 
     while heap and heap[0][0] <= best.bound():
-        dist, _t, kind, page, local = heapq.heappop(heap)
+        _dist, _t, kind, page, local, _run, _pos = _pop(heap)
         if kind == _POINT:
             if ctx is None:
                 coords, pid = exact.fetch(page, local)
@@ -385,7 +472,7 @@ def _nearest_impl(
             pages_read += 1
             if ctx is not None and handle.codes is not None:
                 handles_by_page[handle.index] = handle
-            _process_page(tree, query, handle, best, heap, tie)
+            _process_page(tree, query, handle, best, heap, ties)
 
     ids, dists = best.sorted_results()
     degraded = bool(intervals or lost_pages)
@@ -612,47 +699,36 @@ def _browse_impl(tree: IQTree, query: np.ndarray):
         query, tree._lowers, tree._uppers, metric
     )
     exact = ExactStore(tree)
-    tie = itertools.count()
-    # Entry kinds: _PAGE (load + expand), _POINT (refine), _RESULT
-    # (already-exact distance, ready to emit).
-    result_kind = 2
-    heap: list[tuple] = [
-        (float(page_mindists[i]), next(tie), _PAGE, i, 0)
-        for i in range(tree.n_pages)
-    ]
-    heapq.heapify(heap)
+    ties = _Ties(tree.n_pages)
+    heap = _page_entries(page_mindists)
     while heap:
-        dist, _t, kind, page, local = heapq.heappop(heap)
-        if kind == result_kind:
-            yield int(page), float(dist)  # page slot holds the id here
+        dist, _t, kind, page, item, _run, _pos = _pop(heap)
+        if kind == _RESULT:
+            yield int(item), float(dist)
             continue
         if kind == _POINT:
-            coords, pid = exact.fetch(page, local)
+            coords, pid = exact.fetch(page, item)
             true = metric.distance(query, coords)
-            heapq.heappush(heap, (true, next(tie), result_kind, pid, 0))
+            heapq.heappush(
+                heap, (true, ties.take(), _RESULT, page, pid, None, 0)
+            )
             continue
         handle = tree._read_page(page)
         if handle.points is not None:
             dists = metric.distances(query, handle.points)
-            for pid, true in zip(handle.ids, dists):
-                heapq.heappush(
-                    heap, (float(true), next(tie), result_kind, int(pid), 0)
-                )
+            _push_run(heap, ties, _RESULT, page, dists, handle.ids)
             continue
         quantizer = tree._codec_view(page, handle)
         lower_b = quantizer.cell_mindist(query, handle.codes, metric)
-        for local_idx, lb in enumerate(lower_b):
-            heapq.heappush(
-                heap, (float(lb), next(tie), _POINT, page, local_idx)
-            )
+        _push_run(heap, ties, _POINT, page, lower_b, np.arange(lower_b.size))
 
 
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _process_page(tree, query, handle: PageHandle, best, heap, tie) -> None:
+def _process_page(tree, query, handle: PageHandle, best, heap, ties) -> None:
     """Decode one page: exact pages update the result directly, coarser
-    pages push their cells' box approximations into the priority list."""
+    pages enter the cells that survive the current bound as one run."""
     metric = tree.metric
     if handle.points is not None:
         dists = metric.distances(query, handle.points)
@@ -660,12 +736,8 @@ def _process_page(tree, query, handle: PageHandle, best, heap, tie) -> None:
         return
     quantizer = tree._codec_view(handle.index, handle)
     lower_b = quantizer.cell_mindist(query, handle.codes, metric)
-    bound = best.bound()
-    for local in np.flatnonzero(lower_b <= bound):
-        heapq.heappush(
-            heap,
-            (float(lower_b[local]), next(tie), _POINT, handle.index, int(local)),
-        )
+    survivors = np.flatnonzero(lower_b <= best.bound())
+    _push_run(heap, ties, _POINT, handle.index, lower_b[survivors], survivors)
 
 
 def _plan_window(

@@ -21,6 +21,7 @@ __all__ = [
     "mindist_matrix",
     "maxdist_matrix",
     "mindist_components",
+    "maxdist_components",
 ]
 
 
@@ -259,6 +260,15 @@ def mindist_components(
     return np.maximum(np.maximum(lowers - query, query - uppers), 0.0)
 
 
+def maxdist_components(
+    query: np.ndarray, lowers: np.ndarray, uppers: np.ndarray
+) -> np.ndarray:
+    """Per-dimension distance from ``query`` to the farthest face of
+    each of ``n`` boxes, shape ``(n, d)``."""
+    query = np.asarray(query, dtype=np.float64)
+    return np.maximum(np.abs(query - lowers), np.abs(query - uppers))
+
+
 def mindist_to_boxes(
     query: np.ndarray,
     lowers: np.ndarray,
@@ -286,9 +296,7 @@ def maxdist_to_boxes(
     from repro.geometry.metrics import EUCLIDEAN
 
     metric = metric or EUCLIDEAN
-    query = np.asarray(query, dtype=np.float64)
-    gap = np.maximum(np.abs(query - lowers), np.abs(query - uppers))
-    return metric.lengths(gap)
+    return metric.lengths(maxdist_components(query, lowers, uppers))
 
 
 def _checked_query_matrix_args(

@@ -76,10 +76,13 @@ def unpack_codes(
         )
     raw = np.frombuffer(payload, dtype=np.uint8, count=need_bytes)
     bit_stream = np.unpackbits(raw, bitorder="little")[:total_bits]
-    bit_matrix = bit_stream.reshape(n_codes, bits).astype(np.uint32)
-    shifts = np.arange(bits, dtype=np.uint32)
-    codes = (bit_matrix << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-    return codes.astype(np.uint32).reshape(n_points, dim)
+    # Column b of the (n_codes, bits) matrix is bit-plane b of every
+    # code; OR-ing the shifted planes avoids the wide shift-and-sum.
+    planes = bit_stream.reshape(n_codes, bits)
+    codes = planes[:, 0].astype(np.uint32)
+    for b in range(1, bits):
+        codes |= planes[:, b].astype(np.uint32) << np.uint32(b)
+    return codes.reshape(n_points, dim)
 
 
 def unpack_codes_bulk(

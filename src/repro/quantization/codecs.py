@@ -37,7 +37,7 @@ import struct
 import numpy as np
 
 from repro.exceptions import QuantizationError, StorageError
-from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
+from repro.geometry.mbr import maxdist_components, mindist_components
 from repro.geometry.metrics import EUCLIDEAN
 from repro.quantization.bitpack import pack_codes, packed_size, unpack_codes
 
@@ -285,6 +285,8 @@ class PQView:
         self.n_sub = int(n_sub)
         self.dim = int(dim)
         self.spans = subspace_spans(dim, n_sub)
+        self._span_sizes = [b - a for a, b in self.spans]
+        self._dim_index = np.arange(self.dim)
 
     @property
     def nbytes(self) -> int:
@@ -305,19 +307,42 @@ class PQView:
             uppers[:, a:b] = self.box_hi[:, a:b][sel]
         return lowers, uppers
 
+    def _gather(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Per-point ``(m, d)`` rows of a per-cluster ``(K, d)`` table:
+        entry ``[i, j]`` is ``table[codes[i, subspace(j)], j]``.
+
+        Subspaces are contiguous, so repeating each code column over its
+        span gives the per-dimension cluster selectors in C order; the
+        gathered rows stay C-contiguous, which keeps the metric's
+        row reduction bit-equal to the ``cell_bounds`` path.
+        """
+        rows = np.repeat(np.asarray(codes), self._span_sizes, axis=1)
+        flat = np.multiply(rows, self.dim, dtype=np.intp)
+        flat += self._dim_index
+        return np.take(table, flat)
+
     def cell_mindist(
         self, query: np.ndarray, codes: np.ndarray, metric=None
     ) -> np.ndarray:
+        """Asymmetric-distance lower bounds via a per-query gap table.
+
+        The per-dimension gaps are computed once per *cluster* (``K x
+        d``) by :func:`~repro.geometry.mbr.mindist_components`, then
+        gathered per point, so the result is bit-equal to
+        ``mindist_to_boxes(query, *self.cell_bounds(codes), metric)``.
+        """
         metric = metric or EUCLIDEAN
-        lowers, uppers = self.cell_bounds(codes)
-        return mindist_to_boxes(query, lowers, uppers, metric)
+        gaps = mindist_components(query, self.box_lo, self.box_hi)
+        return metric.lengths(self._gather(gaps, codes))
 
     def cell_maxdist(
         self, query: np.ndarray, codes: np.ndarray, metric=None
     ) -> np.ndarray:
+        """Upper bounds via a per-query table; bit-equal to
+        ``maxdist_to_boxes(query, *self.cell_bounds(codes), metric)``."""
         metric = metric or EUCLIDEAN
-        lowers, uppers = self.cell_bounds(codes)
-        return maxdist_to_boxes(query, lowers, uppers, metric)
+        gaps = maxdist_components(query, self.box_lo, self.box_hi)
+        return metric.lengths(self._gather(gaps, codes))
 
     def __repr__(self) -> str:
         return (

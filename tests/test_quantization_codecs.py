@@ -18,7 +18,8 @@ from repro.exceptions import (
     QuantizationError,
     StorageError,
 )
-from repro.geometry.metrics import EUCLIDEAN
+from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
+from repro.geometry.metrics import EUCLIDEAN, MAXIMUM, LpMetric
 from repro.quantization.bitpack import packed_size
 from repro.quantization.codecs import (
     CODEC_GRID,
@@ -58,6 +59,78 @@ def micro_clusters(
     pts = centers[rng.integers(0, n_clusters, size=m)]
     pts = pts + rng.normal(0, 0.001, size=(m, dim))
     return np.clip(pts, 0, 1).astype(np.float32).astype(np.float64)
+
+
+# ----------------------------------------------------------------------
+# PQView lookup-table bounds
+# ----------------------------------------------------------------------
+METRICS = [EUCLIDEAN, MAXIMUM, LpMetric(3)]
+
+
+def random_view(k: int, dim: int, n_sub: int, seed: int, degenerate=False):
+    """A PQView over random f32-exact boxes, as a decoded page holds."""
+    rng = np.random.default_rng(seed)
+    lo = rng.random((k, dim)).astype(np.float32).astype(np.float64)
+    side = rng.random((k, dim)).astype(np.float32).astype(np.float64)
+    if degenerate:
+        side[rng.random((k, dim)) < 0.5] = 0.0
+    return PQView(lo, lo + side * 0.25, n_sub, dim)
+
+
+def assert_table_bounds_bitwise(view, codes, query, metric):
+    lowers, uppers = view.cell_bounds(codes)
+    assert np.array_equal(
+        view.cell_mindist(query, codes, metric),
+        mindist_to_boxes(query, lowers, uppers, metric),
+    )
+    assert np.array_equal(
+        view.cell_maxdist(query, codes, metric),
+        maxdist_to_boxes(query, lowers, uppers, metric),
+    )
+
+
+class TestPQTableBounds:
+    """The lookup-table bounds are bit-equal to the box-gather path."""
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
+    @pytest.mark.parametrize(
+        "k,m,dim,n_sub",
+        [
+            (1, 40, 6, 2),  # K = 1
+            (40, 40, 6, 3),  # K = m
+            (8, 300, 7, 3),  # uneven spans: 3 + 2 + 2
+            (5, 64, 1, 1),  # one dimension
+            (16, 200, 16, 16),  # one dimension per subspace
+        ],
+    )
+    def test_bit_equal(self, metric, k, m, dim, n_sub):
+        rng = np.random.default_rng(k * 1000 + dim)
+        for degenerate in (False, True):
+            view = random_view(k, dim, n_sub, seed=m, degenerate=degenerate)
+            codes = rng.integers(0, k, size=(m, n_sub)).astype(np.uint32)
+            for query in (
+                rng.random(dim),  # inside or near the page
+                rng.random(dim) * 1e3 - 5e2,  # far outside it
+                view.box_lo[0].copy(),  # on a box corner
+            ):
+                assert_table_bounds_bitwise(view, codes, query, metric)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.name)
+    def test_fitted_page_bit_equal(self, metric):
+        """Fitted codebooks, both as fit (float32) and as decoded."""
+        pts = micro_clusters(500, 7, 12, seed=4)
+        codes, lo32, hi32 = fit_pq(pts, 3, 4)
+        rng = np.random.default_rng(2)
+        for dtype in (np.float32, np.float64):
+            view = PQView(lo32.astype(dtype), hi32.astype(dtype), 3, 7)
+            for query in (pts[3], rng.random(7), rng.random(7) + 50.0):
+                assert_table_bounds_bitwise(view, codes, query, metric)
+
+    def test_empty_codes(self):
+        view = random_view(4, 5, 2, seed=1)
+        codes = np.zeros((0, 2), dtype=np.uint32)
+        assert view.cell_mindist(np.zeros(5), codes).shape == (0,)
+        assert view.cell_maxdist(np.zeros(5), codes).shape == (0,)
 
 
 # ----------------------------------------------------------------------
