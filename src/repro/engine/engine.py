@@ -39,16 +39,16 @@ With ``workers > 1`` the per-query phases -- candidate bounding and
 result assembly -- are sharded across a
 :class:`~repro.engine.concurrent.WorkerPool`.  The phases are the pure,
 picklable kernels of :mod:`repro.engine.kernels`: their inputs are
-plain arrays (query rows, candidate masks, decoded matrices, cell-bound
-boxes), never an ``IQTree``, ``BlockFile``, or cache object, so they
-run equally on worker threads or worker *processes* -- the process
-backend is what converts simulated speedup into wall-clock speedup on
-multi-core hosts.  Every simulated-I/O charge (directory scan, page
-fetch, third-level fetch) and every side effect on shared state
-(fault-context counters, registry instruments) stays on the coordinator
-thread and is applied in query order, so results, the I/O ledger, and
-the observability counters are bit-identical for any worker count and
-either backend.
+plain arrays (query rows, candidate masks, one stacked table of cell
+boxes and exact points), never an ``IQTree``, ``BlockFile``, or cache
+object, so they run equally on worker threads or worker *processes* --
+the process backend is what converts simulated speedup into wall-clock
+speedup on multi-core hosts.  Every simulated-I/O charge (directory
+scan, page fetch, third-level fetch) and every side effect on shared
+state (fault-context counters, registry instruments) stays on the
+coordinator thread and is applied in query order, so results, the I/O
+ledger, and the observability counters are bit-identical for any worker
+count and either backend.
 """
 
 from __future__ import annotations
@@ -384,7 +384,6 @@ class QueryEngine:
         # I/O of the batch happens here and in fetch_all below, on this
         # coordinator thread.
         cache.load(np.flatnonzero(cand_mask.any(axis=0)))
-        cache.ensure_bounds()
 
         arena = None
         try:
@@ -540,7 +539,6 @@ class QueryEngine:
         cache = PageDecodeCache(tree)
         # "fetch" and "decode" spans open inside load().
         cache.load(np.flatnonzero(cand_mask.any(axis=0)))
-        cache.ensure_bounds()
 
         arena = None
         try:
