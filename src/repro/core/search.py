@@ -58,11 +58,7 @@ from repro.obs.instruments import (
     REGISTRY,
 )
 from repro.storage.disk import IOStats
-from repro.storage.runtime_faults import (
-    LostPage,
-    fault_address,
-    fetch_with_quarantine,
-)
+from repro.storage.runtime_faults import LostPage, fault_address
 from repro.storage.scheduler import cost_balance_window
 
 __all__ = [
@@ -262,24 +258,14 @@ class NNResult:
 
 
 @dataclass
-class RangeResult:
+class RangeResult(NNResult):
     """Result of a range query (all points within a radius).
 
-    The degraded-mode fields mirror :class:`NNResult`; an uncertain
-    range result is a *possible* member (its cell interval overlaps the
-    radius) reported at its conservative ``maxdist``, which may exceed
-    the radius.
+    Fields as in :class:`NNResult`.  An uncertain range result is a
+    *possible* member (its cell interval overlaps the radius) reported
+    at its conservative ``maxdist``, which may exceed the radius; a
+    lost page's ``maxdist`` is infinite.
     """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    io: IOStats
-    pages_read: int
-    refinements: int
-    certain: np.ndarray | None = None
-    intervals: dict[int, tuple[float, float]] | None = None
-    lost_pages: tuple = ()
-    degraded: bool = False
 
 
 class KBest:
@@ -366,16 +352,23 @@ def nearest_neighbors(
     if k > tree.n_points:
         raise SearchError(f"k={k} exceeds the {tree.n_points} stored points")
     query = checked_query(tree, query)
+    return _run_single(
+        tree, "nearest", lambda: _nearest_impl(tree, query, k, scheduler)
+    )
+
+
+def _run_single(tree: IQTree, kind: str, run):
+    """Run one single-query search under the tree's flight recorder, if
+    one is attached; storage failures surface as QueryDataError."""
     query_id = next_query_id()
     try:
-        if tree._flight_recorder is not None:
-            from repro.obs.flight import observe_single
+        if tree._flight_recorder is None:
+            return run()
+        from repro.obs.flight import observe_single
 
-            return observe_single(
-                tree._flight_recorder, tree, "nearest", query_id,
-                lambda: _nearest_impl(tree, query, k, scheduler),
-            )
-        return _nearest_impl(tree, query, k, scheduler)
+        return observe_single(
+            tree._flight_recorder, tree, kind, query_id, run
+        )
     except StorageError as exc:
         raise_query_error(exc, tree, query_id)
 
@@ -479,7 +472,7 @@ def _nearest_impl(
     certain = None
     result_intervals = None
     if degraded:
-        certain = _certain_mask(ids, intervals)
+        certain = certain_mask(ids, intervals)
         result_intervals = {
             pid: intervals[pid] for pid in ids.tolist() if pid in intervals
         }
@@ -509,155 +502,37 @@ def _nearest_impl(
 def range_search(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
     """All points within ``radius`` of ``query``.
 
-    The candidate page set is known up front (every page whose MBR
-    mindist is within the radius), so the pages are fetched with the
-    optimal batched strategy of Section 2.  A point whose cell maxdist
-    is within the radius is a certain answer but is still refined --
-    returning an answer means producing its exact record; a point whose
-    cell straddles the radius is refined to decide.
+    The candidate pages (MBR mindist within the radius) are known up
+    front, so this is the Section 2 batched fetch: the query runs as a
+    one-query batch of :meth:`~repro.engine.QueryEngine.range_batch`.
+    Every point whose cell reaches into the ball is refined -- an
+    answer needs its exact record -- in one third-level transfer.
     """
     if radius < 0:
         raise SearchError("radius must be non-negative")
     tree._ensure_clean()
     query = checked_query(tree, query)
-    query_id = next_query_id()
-    try:
-        if tree._flight_recorder is not None:
-            from repro.obs.flight import observe_single
-
-            return observe_single(
-                tree._flight_recorder, tree, "range", query_id,
-                lambda: _range_impl(tree, query, radius),
-            )
-        return _range_impl(tree, query, radius)
-    except StorageError as exc:
-        raise_query_error(exc, tree, query_id)
+    return _run_single(tree, "range", lambda: _range_one(tree, query, radius))
 
 
-def _range_impl(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
-    ctx = tree._fault_ctx
-    io_before = io_snapshot(tree)
-    tree._charge_directory_scan()
-    metric = tree.metric
-    page_mindists = mindist_to_boxes(
-        query, tree._lowers, tree._uppers, metric
-    )
-    candidates = np.flatnonzero(page_mindists <= radius)
-    exact = ExactStore(tree)
-    id_runs: list[np.ndarray] = []
-    dist_runs: list[np.ndarray] = []
-    intervals: dict[int, tuple[float, float]] = {}
-    lost_pages: list[LostPage] = []
-    pages_read = 0
+def _range_one(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
+    from repro.engine.engine import QueryEngine
 
-    # Pages resident in the decoded cache need no fetch at all; only
-    # the rest go into the batched transfer.
-    cached_handles: dict[int, PageHandle] = {}
-    to_fetch: list[int] = []
-    for page in candidates.tolist():
-        handle = tree._cached_handle(page)
-        if handle is not None:
-            cached_handles[page] = handle
-        else:
-            to_fetch.append(page)
-
-    if ctx is None:
-        payloads = tree._quant_file.read_batched(to_fetch)
-    else:
-        payloads, lost_local = fetch_with_quarantine(
-            tree._quant_file, tree.disk, ctx, to_fetch
+    with QueryEngine(tree) as engine:
+        batch = engine._range_batch_impl(
+            query[None], np.array([radius], dtype=np.float64)
         )
-        for page in lost_local:
-            # Membership of every point in the page is unknowable;
-            # maxdist is irrelevant for a radius predicate.
-            lost_pages.append(
-                LostPage(
-                    page=int(page),
-                    n_points=int(tree._counts[page]),
-                    mindist=float(page_mindists[page]),
-                    maxdist=float("inf"),
-                )
-            )
-            ctx.lost_pages += 1
-            if REGISTRY.enabled:
-                LOST_PAGES.inc()
-    for page in candidates.tolist():
-        handle = cached_handles.get(page)
-        if handle is None:
-            if page not in payloads:
-                continue  # lost page, reported above
-            handle = tree._decode_page_payload(page, payloads[page])
-        pages_read += 1
-        if handle.points is not None:
-            dists = metric.distances(query, handle.points)
-            inside = dists <= radius
-            id_runs.append(handle.ids[inside].astype(np.int64, copy=False))
-            dist_runs.append(dists[inside].astype(np.float64, copy=False))
-            continue
-        quantizer = tree._codec_view(page, handle)
-        lower_b = quantizer.cell_mindist(query, handle.codes, metric)
-        upper_b = None
-        page_ids: list[int] = []
-        page_dists: list[float] = []
-        for local in np.flatnonzero(lower_b <= radius):
-            if ctx is None:
-                coords, pid = exact.fetch(page, int(local))
-            else:
-                try:
-                    coords, pid = exact.fetch(page, int(local))
-                except (ReadFaultError, IntegrityError) as exc:
-                    if fault_address(exc) is None:
-                        raise
-                    if upper_b is None:
-                        upper_b = quantizer.cell_maxdist(
-                            query, handle.codes, metric
-                        )
-                    # Possible member: cell overlaps the radius but the
-                    # exact record is gone.  Include it flagged
-                    # uncertain at the conservative maxdist.
-                    pid = int(tree._part_ids[page][local])
-                    lo = float(lower_b[local])
-                    hi = float(upper_b[local])
-                    page_ids.append(pid)
-                    page_dists.append(hi)
-                    intervals[pid] = (lo, hi)
-                    ctx.degraded_results += 1
-                    if REGISTRY.enabled:
-                        DEGRADED_RESULTS.inc()
-                    continue
-            dist = metric.distance(query, coords)
-            if dist <= radius:
-                page_ids.append(pid)
-                page_dists.append(dist)
-        if page_ids:
-            id_runs.append(np.array(page_ids, dtype=np.int64))
-            dist_runs.append(np.array(page_dists, dtype=np.float64))
-
-    if id_runs:
-        found_ids = np.concatenate(id_runs)
-        found_dists = np.concatenate(dist_runs)
-    else:
-        found_ids = np.empty(0, dtype=np.int64)
-        found_dists = np.empty(0)
-    order = np.argsort(found_dists, kind="stable")
-    ids_sorted = found_ids[order]
-    degraded = bool(intervals or lost_pages)
-    certain = None
-    result_intervals = None
-    if degraded:
-        certain = certain_mask(ids_sorted, intervals)
-        result_intervals = dict(intervals)
-    io_after = io_snapshot(tree)
+    answer, stats = batch[0], batch.stats
     result = RangeResult(
-        ids=ids_sorted,
-        distances=found_dists[order],
-        io=io_delta(io_before, io_after),
-        pages_read=pages_read,
-        refinements=exact.refinements,
-        certain=certain,
-        intervals=result_intervals,
-        lost_pages=tuple(lost_pages),
-        degraded=degraded,
+        ids=answer.ids,
+        distances=answer.distances,
+        io=stats.io,
+        pages_read=stats.pages_read + stats.decoded_pages_reused,
+        refinements=stats.refinements,
+        certain=answer.certain,
+        intervals=answer.intervals,
+        lost_pages=answer.lost_pages,
+        degraded=answer.degraded,
     )
     if REGISTRY.enabled:
         # The cost model predicts kNN queries only, so range queries
@@ -930,8 +805,6 @@ def certain_mask(
     )
     return ~np.isin(ids, uncertain)
 
-
-_certain_mask = certain_mask
 
 
 def checked_query(tree: IQTree, query) -> np.ndarray:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from repro.exceptions import BuildError, SearchError
+from repro.exceptions import BuildError, PersistentReadError, SearchError
 from repro.core.build import bulk_load_partitions
 from repro.core.optimizer import (
     OptimizedPartition,
@@ -35,6 +36,7 @@ from repro.costmodel.model import CostModel
 from repro.geometry.mbr import MBR
 from repro.geometry.metrics import get_metric
 from repro.obs.instruments import PAGES_DECODED, REFINEMENTS, REGISTRY
+from repro.obs.tracing import span as obs_span
 from repro.quantization.capacity import EXACT_BITS
 from repro.quantization.codecs import CODEC_PQ
 from repro.quantization.grid import GridQuantizer
@@ -42,7 +44,7 @@ from repro.storage.blockfile import BlockFile
 from repro.storage.disk import SimulatedDisk
 from repro.storage import serializer
 
-__all__ = ["IQTree", "canonicalize", "PageHandle"]
+__all__ = ["IQTree", "canonicalize", "PageHandle", "ExactStore"]
 
 
 def canonicalize(data: np.ndarray) -> np.ndarray:
@@ -491,22 +493,6 @@ class IQTree:
         with self._write_lock:
             return range_search(self, query, radius)
 
-    def nearest_batch(
-        self, queries: np.ndarray, k: int = 1, scheduler: str = "optimized"
-    ) -> list:
-        """Run :meth:`nearest` for each row of ``queries``.
-
-        The disk head is *not* parked between queries, so consecutive
-        queries benefit from head locality (the measurement harness
-        parks explicitly when per-query isolation is wanted).
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise SearchError("queries must be a (q, d) array")
-        return [
-            self.nearest(q, k=k, scheduler=scheduler) for q in queries
-        ]
-
     def query_engine(
         self,
         pool=None,
@@ -629,9 +615,7 @@ class IQTree:
         disable caching; re-layouts after maintenance keep the pool but
         drop stale residency.
         """
-        from repro.storage.cache import BufferPool
-
-        from repro.storage.cache import CachedBlockFile
+        from repro.storage.cache import BufferPool, CachedBlockFile
 
         if isinstance(pool_or_capacity, BufferPool):
             pool = pool_or_capacity
@@ -848,41 +832,118 @@ class IQTree:
 
 
 class ExactStore:
-    """Per-query cached reader of third-level point records.
+    """Cached reader of third-level point records.
 
-    Refining a point pays one random seek plus the transfer of the block
-    (or two, when the record straddles a boundary) that holds its
-    record; blocks already fetched during the same query are free.
+    :meth:`fetch` refines one point for the best-first searches (one
+    seek plus the block or two holding its record); :meth:`fetch_all`
+    reads the union of many records' blocks in one transfer planned
+    with the Section 2 strategy.  Both fill one block cache, so a block
+    already read through this store is free.  Under a fault context an
+    unreadable block makes :meth:`fetch` raise, while :meth:`fetch_all`
+    lists its records in :attr:`failed` and leaves them out.
     """
 
     def __init__(self, tree: IQTree):
         self._tree = tree
         self._cache: dict[int, bytes] = {}
+        #: point records decoded so far
         self.refinements = 0
+        #: (page, local) keys whose third-level blocks are unreadable
+        self.failed: set[tuple[int, int]] = set()
+
+    def _spans(self, first_block, local):
+        """First and last block and byte offset in the first block of
+        record ``local`` of the page whose records start at block
+        ``first_block``; elementwise over arrays."""
+        record = serializer.exact_point_record_size(self._tree.dim)
+        block_size = self._tree.disk.model.block_size
+        start = local * record
+        b0 = first_block + start // block_size
+        b1 = first_block + (start + record - 1) // block_size
+        return b0, b1, start % block_size
 
     def fetch(self, page: int, local_index: int) -> tuple[np.ndarray, int]:
         """Exact ``(coords, id)`` of one point of a ``g < 32`` page."""
-        tree = self._tree
-        record = serializer.exact_point_record_size(tree.dim)
-        first_block = int(tree._exact_firsts[page])
-        start = local_index * record
-        end = start + record  # exclusive
-        block_size = tree.disk.model.block_size
-        b0 = first_block + start // block_size
-        b1 = first_block + (end - 1) // block_size
+        record = serializer.exact_point_record_size(self._tree.dim)
+        b0, b1, offset = self._spans(
+            int(self._tree._exact_firsts[page]), local_index
+        )
         data = bytearray()
         for b in range(b0, b1 + 1):
             if b not in self._cache:
                 self._cache[b] = self._read_block(b)
             data += self._cache[b]
-        offset = start - (b0 - first_block) * block_size
         coords, ids = serializer.decode_exact_record(
-            bytes(data[offset : offset + record]), 1, tree.dim
+            bytes(data[offset : offset + record]), 1, self._tree.dim
         )
         self.refinements += 1
         if REGISTRY.enabled:
             REFINEMENTS.inc()
         return coords[0], int(ids[0])
+
+    def fetch_all(
+        self, requests: Iterable[tuple[int, int]]
+    ) -> dict[tuple[int, int], tuple[np.ndarray, int]]:
+        """Exact ``(coords, id)`` of many ``(page, local)`` keys.
+
+        Uncached blocks are read in one batched transfer, then every
+        requested record is decoded once, in one vectorized pass.
+        """
+        # Imported here: repro.storage.runtime_faults imports the
+        # persistence layer, which imports this module.
+        from repro.storage.runtime_faults import fetch_with_quarantine
+
+        tree = self._tree
+        keys = sorted(set(requests))
+        pairs = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        b0, b1, offset = self._spans(
+            tree._exact_firsts[pairs[:, 0]], pairs[:, 1]
+        )
+        # Row i lists record i's blocks b0..b1 (padded with b1).
+        covered = np.minimum(
+            b0[:, None] + np.arange(int((b1 - b0).max(initial=0)) + 1),
+            b1[:, None],
+        )
+        blocks = np.unique(covered).tolist()
+        missing = [b for b in blocks if b not in self._cache]
+        if missing:
+            ctx = tree._fault_ctx
+            with obs_span(
+                "fetch-exact", disk=tree.disk, records=len(keys)
+            ) as fetch_span:
+                if ctx is None:
+                    payloads = tree._exact_file.read_batched(missing)
+                else:
+                    payloads, lost = fetch_with_quarantine(
+                        tree._exact_file, tree.disk, ctx, missing
+                    )
+                    if lost and fetch_span is not None:
+                        fetch_span.attrs["degraded"] = True
+                        fetch_span.attrs["lost_blocks"] = len(lost)
+            self._cache.update(payloads)
+
+        # Gather the readable records into one (m, record) byte matrix;
+        # blocks are joined in ascending order, so a record straddling
+        # b0 and b0 + 1 stays contiguous.
+        present = np.array([b for b in blocks if b in self._cache], np.int64)
+        readable = np.isin(covered, present).all(axis=1)
+        chunks = [self._cache[b] for b in present.tolist()]
+        sizes = np.array([len(chunk) for chunk in chunks], dtype=np.int64)
+        starts = (np.cumsum(sizes) - sizes)[
+            np.searchsorted(present, b0[readable])
+        ] + offset[readable]
+        record = serializer.exact_point_record_size(tree.dim)
+        buffer = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+        rows = buffer[starts[:, None] + np.arange(record)]
+        coords, ids = serializer.decode_exact_record(
+            rows.tobytes(), rows.shape[0], tree.dim
+        )
+        self.refinements += rows.shape[0]
+        if REGISTRY.enabled and rows.shape[0]:
+            REFINEMENTS.inc(rows.shape[0])
+        good = [key for key, ok in zip(keys, readable.tolist()) if ok]
+        self.failed.update(set(keys) - set(good))
+        return dict(zip(good, zip(coords, ids.tolist())))
 
     def _read_block(self, b: int) -> bytes:
         """One third-level block read, via the fault context if attached.
@@ -896,14 +957,9 @@ class ExactStore:
             return tree._exact_file.read_block(b)
         address = tree._exact_file.extent_start + b
         if address in ctx.quarantine:
-            from repro.exceptions import PersistentReadError
-
             raise PersistentReadError(
                 f"exact block {b} is quarantined", address=address
             )
         return ctx.run(
             lambda: tree._exact_file.read_block(b), tree.disk
         )
-
-
-__all__.append("ExactStore")

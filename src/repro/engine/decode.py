@@ -9,10 +9,13 @@ depend only on the page, not on the query;
 :meth:`PageDecodeCache.page_table` stacks them into one table per batch
 for the worker kernels.
 
-:class:`ExactBatchStore` is the batched counterpart of
-:class:`~repro.core.tree.ExactStore`: it collects the third-level
-refinement candidates of *all* queries of a batch, plans one optimal
-fetch over the union of their blocks, and decodes every requested point
+:class:`ExactBatchStore` is an alias of the tree's one third-level
+reader, :class:`~repro.core.tree.ExactStore`: the engine hands the
+refinement candidates of *all* queries of a batch -- kNN and range
+alike, including the one-query batches behind
+:func:`~repro.core.search.range_search` -- to its
+:meth:`~repro.core.tree.ExactStore.fetch_all`, which plans one optimal
+fetch over the union of their blocks and decodes every requested point
 record exactly once.
 """
 
@@ -23,9 +26,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.tree import IQTree, PageHandle
+from repro.core.tree import ExactStore, IQTree, PageHandle
 from repro.engine.kernels import PageStack, PageTable
-from repro.obs.instruments import PAGES_DECODED, REFINEMENTS, REGISTRY
+from repro.obs.instruments import PAGES_DECODED, REGISTRY
 from repro.obs.tracing import span as obs_span
 from repro.quantization.bitpack import unpack_codes_bulk
 from repro.quantization.capacity import EXACT_BITS
@@ -43,18 +46,18 @@ class PageDecodeCache:
     them per affected query.
 
     When the tree carries a
-    :class:`~repro.engine.page_cache.DecodedPageCache` (or one is passed
-    as ``shared``), already-decoded pages are served from it without
-    touching the disk, and freshly decoded pages (plus their derived
-    cell bounds) are published back -- the cross-batch amortization
-    layer.  Quarantined pages bypass the shared cache entirely: a
-    poisoned block must be reported lost, never served from a pre-fault
-    decode, and losing a page also drops its shared entry.
+    :class:`~repro.engine.page_cache.DecodedPageCache`, already-decoded
+    pages are served from it without touching the disk, and freshly
+    decoded pages (plus their derived cell bounds) are published back
+    -- the cross-batch amortization layer.  Quarantined pages bypass
+    the shared cache entirely: a poisoned block must be reported lost,
+    never served from a pre-fault decode, and losing a page also drops
+    its shared entry.
     """
 
-    def __init__(self, tree: IQTree, shared=None):
+    def __init__(self, tree: IQTree):
         self._tree = tree
-        self._shared = tree._decoded_cache if shared is None else shared
+        self._shared = tree._decoded_cache
         self._handles: dict[int, PageHandle] = {}
         self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: unique pages fetched from the quantized level so far
@@ -126,14 +129,6 @@ class PageDecodeCache:
         if shared is not None:
             for page in payloads:
                 shared.put(self._tree, page, self._handles[page])
-
-    def is_lost(self, page: int) -> bool:
-        """Whether ``page`` was requested but could not be read."""
-        return page in self._lost
-
-    def handle(self, page: int) -> PageHandle:
-        """Decoded view of one loaded page."""
-        return self._handles[page]
 
     def cell_bounds(self, page: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-point conservative boxes of one quantized page.
@@ -224,82 +219,6 @@ class PageDecodeCache:
                 )
 
 
-class ExactBatchStore:
-    """Batched third-level reader shared by all queries of a batch.
-
-    With a fault context attached, records whose backing blocks could
-    not be read are collected in :attr:`failed` (and omitted from the
-    returned mapping) instead of aborting the batch; the engine falls
-    back to the cell interval for those points.
-    """
-
-    def __init__(self, tree: IQTree):
-        self._tree = tree
-        self._points: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-        #: unique point records fetched so far
-        self.refinements = 0
-        #: (page, local) keys whose third-level blocks are unreadable
-        self.failed: set[tuple[int, int]] = set()
-
-    def fetch_all(
-        self, requests: Iterable[tuple[int, int]]
-    ) -> dict[tuple[int, int], tuple[np.ndarray, int]]:
-        """Fetch the exact ``(coords, id)`` of many ``(page, local)``.
-
-        The union of the backing third-level blocks is read in one
-        batched transfer planned with the Section 2 strategy; each
-        requested record is decoded once, even when several queries
-        asked for it.
-        """
-        tree = self._tree
-        record = serializer.exact_point_record_size(tree.dim)
-        block_size = tree.disk.model.block_size
-        todo = sorted(set(requests) - self._points.keys())
-        blocks: set[int] = set()
-        spans: list[tuple[tuple[int, int], int, int, int]] = []
-        for page, local in todo:
-            first_block = int(tree._exact_firsts[page])
-            start = local * record
-            end = start + record  # exclusive
-            b0 = first_block + start // block_size
-            b1 = first_block + (end - 1) // block_size
-            offset = start - (b0 - first_block) * block_size
-            blocks.update(range(b0, b1 + 1))
-            spans.append(((page, local), b0, b1, offset))
-        if blocks:
-            ctx = tree._fault_ctx
-            with obs_span(
-                "fetch-exact", disk=tree.disk, records=len(spans)
-            ) as fetch_span:
-                if ctx is None:
-                    payloads = tree._exact_file.read_batched(sorted(blocks))
-                else:
-                    payloads, lost = fetch_with_quarantine(
-                        tree._exact_file, tree.disk, ctx, sorted(blocks)
-                    )
-                    if lost and fetch_span is not None:
-                        fetch_span.attrs["degraded"] = True
-                        fetch_span.attrs["lost_blocks"] = len(lost)
-            decoded = 0
-            for key, b0, b1, offset in spans:
-                if any(b not in payloads for b in range(b0, b1 + 1)):
-                    self.failed.add(key)
-                    continue
-                data = b"".join(payloads[b] for b in range(b0, b1 + 1))
-                coords, ids = serializer.decode_exact_record(
-                    data[offset : offset + record], 1, tree.dim
-                )
-                self._points[key] = (coords[0], int(ids[0]))
-                decoded += 1
-            if REGISTRY.enabled and decoded:
-                REFINEMENTS.inc(decoded)
-            self.refinements += decoded
-        return {
-            key: self._points[key]
-            for key in set(requests)
-            if key in self._points
-        }
-
-    def get(self, page: int, local: int) -> tuple[np.ndarray, int]:
-        """A record previously fetched via :meth:`fetch_all`."""
-        return self._points[(page, local)]
+#: The batch engine's third-level reader is the tree's one record
+#: store; the name is kept because callers look ``fetch_all`` up here.
+ExactBatchStore = ExactStore

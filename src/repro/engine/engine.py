@@ -1,10 +1,10 @@
 """Batch execution of kNN and range queries over one IQ-tree.
 
-The single-query algorithms in :mod:`repro.core.search` pay the full
-index walk per query: a directory scan, a best-first page schedule, and
-one third-level look-up per refined point.  Serving heavy traffic means
-amortizing all three across a *batch* of queries, which is what
-:class:`QueryEngine` does:
+Single-query kNN (:mod:`repro.core.search`) pays the full index walk
+per query: a directory scan, a best-first page schedule, and one
+third-level look-up per refined point.  :class:`QueryEngine` amortizes
+all three across a *batch* of queries (a lone range query is a batch
+of one):
 
 * the first-level directory is scanned **once per batch**, and the MBR
   mindist/maxdist of *all* queries against *all* pages are computed in
@@ -66,9 +66,9 @@ from repro.core.search import (
     next_query_id,
     raise_query_error,
 )
-from repro.core.tree import IQTree
+from repro.core.tree import ExactStore, IQTree
 from repro.engine.concurrent import WorkerPool
-from repro.engine.decode import ExactBatchStore, PageDecodeCache
+from repro.engine.decode import PageDecodeCache
 from repro.engine.kernels import (
     BatchQueryResult,
     KnnAssembleTask,
@@ -374,7 +374,7 @@ class QueryEngine:
                 queries, tree._lowers, tree._uppers, metric
             )
         with obs_span("schedule", disk=tree.disk, queries=n_queries):
-            radii = self._guarantee_radii(dmax, k)
+            radii = guarantee_radii(dmax, tree._counts, k)
             if radius_cap is not None:
                 radii = np.minimum(radii, radius_cap)
             cand_mask = dmin <= radii[:, None]
@@ -436,7 +436,7 @@ class QueryEngine:
                 # Phase 2 (coordinator): one batched third-level fetch
                 # for every query.  Unreadable records are absent from
                 # the map.
-                exact_store = ExactBatchStore(tree)
+                exact_store = ExactStore(tree)
                 points = exact_store.fetch_all(all_requests)
                 if refine_span is not None:
                     refine_span.attrs["records"] = len(all_requests)
@@ -476,10 +476,6 @@ class QueryEngine:
         self._observe_batch(stats, results, k=k)
         return BatchResult(queries=results, stats=stats)
 
-    def _guarantee_radii(self, dmax: np.ndarray, k: int) -> np.ndarray:
-        """See :func:`guarantee_radii` (over this tree's directory)."""
-        return guarantee_radii(dmax, self.tree._counts, k)
-
     # ------------------------------------------------------------------
     # Range batches
     # ------------------------------------------------------------------
@@ -507,17 +503,22 @@ class QueryEngine:
             # Serialized against maintenance sweeps, like knn_batch.
             with tree._write_lock:
                 if tree._flight_recorder is not None:
-                    return observe_batch(
+                    result = observe_batch(
                         tree._flight_recorder, tree, "range-batch", batch_id,
                         lambda: self._range_batch_impl(queries, radii),
                     )
-                return self._range_batch_impl(queries, radii)
+                else:
+                    result = self._range_batch_impl(queries, radii)
         except StorageError as exc:
             raise_query_error(exc, tree, batch_id)
+        self._observe_batch(result.stats, result.queries, k=None)
+        return result
 
     def _range_batch_impl(
         self, queries: np.ndarray, radii: np.ndarray
     ) -> BatchResult:
+        """The range pipeline without batch instruments, so that
+        ``range_search`` can run a single query as a one-query batch."""
         tree = self.tree
         n_queries = queries.shape[0]
         before = io_snapshot(tree)
@@ -586,7 +587,7 @@ class QueryEngine:
                 for plan in plans:
                     all_requests.update(plan["refine"])
 
-                exact_store = ExactBatchStore(tree)
+                exact_store = ExactStore(tree)
                 points = exact_store.fetch_all(all_requests)
                 if refine_span is not None:
                     refine_span.attrs["records"] = len(all_requests)
@@ -621,7 +622,6 @@ class QueryEngine:
             n_queries, before, pool_before, fault_before, cache,
             exact_store, plan_io.merged_with(assemble_io),
         )
-        self._observe_batch(stats, results, k=None)
         return BatchResult(queries=results, stats=stats)
 
     # ------------------------------------------------------------------

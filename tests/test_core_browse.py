@@ -59,19 +59,6 @@ class TestBrowse:
         assert np.allclose([d for _i, d in ranked], expected)
 
 
-class TestBatch:
-    def test_batch_matches_individual(self, tree, rng):
-        queries = rng.random((4, 8))
-        batch = tree.nearest_batch(queries, k=2)
-        for q, res in zip(queries, batch):
-            solo = tree.nearest(q, k=2)
-            assert np.array_equal(res.ids, solo.ids)
-
-    def test_batch_shape_validation(self, tree):
-        with pytest.raises(SearchError):
-            tree.nearest_batch(np.zeros(8))
-
-
 class TestEstimatedCost:
     def test_breakdown_positive_and_consistent(self, tree):
         est = tree.estimated_query_cost()
