@@ -23,7 +23,8 @@ materializes the frontier of the split forest at that step.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -286,6 +287,20 @@ def pq_candidate_configs(dim: int) -> list[tuple[int, int]]:
     return configs
 
 
+def _fitting_pq_configs(
+    part: Partition, block_size: int
+) -> list[tuple[int, int]]:
+    """The candidate ``(n_sub, pq_bits)`` whose page fits a block."""
+    from repro.quantization.codecs import pq_page_fits
+
+    m, dim = part.size, part.mbr.dim
+    return [
+        (n_sub, pq_bits)
+        for n_sub, pq_bits in pq_candidate_configs(dim)
+        if pq_page_fits(m, dim, n_sub, pq_bits, block_size)
+    ]
+
+
 def _best_pq_for(
     data: np.ndarray,
     opt: OptimizedPartition,
@@ -293,25 +308,19 @@ def _best_pq_for(
     block_size: int,
 ) -> tuple["OptimizedPartition | None", float]:
     """Cheapest fitting PQ encoding of ``opt``'s partition (or None)."""
-    from dataclasses import replace
-
     from repro.quantization.codecs import (
         CODEC_PQ,
         effective_bits,
         fit_pq,
-        pq_page_fits,
         PQView,
     )
 
     part = opt.partition
-    m = part.size
     dim = part.mbr.dim
     points = part.points(data)
     best: OptimizedPartition | None = None
     best_cost = np.inf
-    for n_sub, pq_bits in pq_candidate_configs(dim):
-        if not pq_page_fits(m, dim, n_sub, pq_bits, block_size):
-            continue
+    for n_sub, pq_bits in _fitting_pq_configs(part, block_size):
         codes, lo32, hi32 = fit_pq(points, n_sub, pq_bits)
         view = PQView(
             lo32.astype(np.float64),
@@ -331,6 +340,30 @@ def _best_pq_for(
         if cost < best_cost:
             best, best_cost = candidate, cost
     return best, best_cost
+
+
+def _pq_cost_floor(
+    data: np.ndarray,
+    opt: OptimizedPartition,
+    cost_model: CostModel,
+    block_size: int,
+) -> float:
+    """A lower bound on ``_best_pq_for(...)[1]``, found without a fit.
+
+    The refinement cost at :func:`effective_bits_bound` over the
+    largest cluster count of the fitting configurations; ``inf`` when
+    no configuration fits (``_best_pq_for`` then finds nothing).
+    """
+    from repro.quantization.codecs import CODEC_PQ, effective_bits_bound
+
+    part = opt.partition
+    configs = _fitting_pq_configs(part, block_size)
+    if not configs:
+        return math.inf
+    k = max(min(1 << pq_bits, part.size) for _, pq_bits in configs)
+    eff_ub = effective_bits_bound(part.points(data), part.mbr.extents, k)
+    bound = replace(opt, codec=CODEC_PQ, eff_bits=eff_ub)
+    return cost_model.refinement_cost(stats_for(bound))
 
 
 def _merge_pass(
@@ -372,20 +405,23 @@ def _merge_pass(
                 )
                 merged_part = Partition.of(data, indices)
                 merged_opt = OptimizedPartition(merged_part, 1)
-                best, r_merged = _best_pq_for(
+                old_total = cost_model.total_from_aggregates(n, refine_sum)
+                rest = refine_sum - refine[i] - refine[i + 1]
+                floor = _pq_cost_floor(
                     data, merged_opt, cost_model, block_size
                 )
-                if best is not None:
-                    old_total = cost_model.total_from_aggregates(
-                        n, refine_sum
+                if (
+                    cost_model.total_from_aggregates(n - 1, rest + floor)
+                    < old_total
+                ):
+                    best, r_merged = _best_pq_for(
+                        data, merged_opt, cost_model, block_size
                     )
-                    new_sum = (
-                        refine_sum - refine[i] - refine[i + 1] + r_merged
-                    )
-                    new_total = cost_model.total_from_aggregates(
-                        n - 1, new_sum
-                    )
-                    if new_total < old_total:
+                    new_sum = rest + r_merged
+                    if best is not None and (
+                        cost_model.total_from_aggregates(n - 1, new_sum)
+                        < old_total
+                    ):
                         out.append(best)
                         refine_sum = new_sum
                         n -= 1
@@ -424,6 +460,19 @@ def choose_codecs(
     unchanged (byte-identical trees), ``"pq"`` forces the best-fitting
     PQ config wherever one fits, ``"auto"`` picks PQ only where the
     model says it is strictly cheaper (ties keep grid).
+
+    Fits that provably cannot change a decision are skipped.  The
+    fitted ``eff_bits`` of every configuration is at most the page's
+    :func:`~repro.quantization.codecs.effective_bits_bound`, and the
+    eq. 15 cell volume ``V_mbr / 2^(d*g)`` shrinks as ``g`` grows, so
+    the refinement cost never rises with bits: the cost at the bound
+    (``_pq_cost_floor``) is at most the cost of the best fit.  In
+    ``"auto"`` mode a page whose floor is ``>= grid_cost`` keeps its
+    grid page unfitted, and the merge pass fits a pair only when
+    ``total(n-1, refine - r_i - r_j + floor) < total(n, refine)``.
+    Both comparisons use the same float expressions as the accepting
+    ones, so every decision and every stored byte is the same as with
+    all fits run.
     """
     if mode == "grid":
         return list(solution)
@@ -435,6 +484,11 @@ def choose_codecs(
             chosen.append(opt)
             continue
         grid_cost = cost_model.refinement_cost(stats_for(opt))
+        if mode == "auto" and (
+            _pq_cost_floor(data, opt, cost_model, block_size) >= grid_cost
+        ):
+            chosen.append(opt)
+            continue
         best, best_cost = _best_pq_for(data, opt, cost_model, block_size)
         if best is None or (mode == "auto" and best_cost >= grid_cost):
             chosen.append(opt)

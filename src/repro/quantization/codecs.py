@@ -51,6 +51,7 @@ __all__ = [
     "encode_pq_body",
     "decode_pq_body",
     "effective_bits",
+    "effective_bits_bound",
     "MAX_EFF_BITS",
 ]
 
@@ -61,8 +62,13 @@ CODEC_PQ = 1
 #: u8 subspace count S, u8 reserved, u16 cluster count K
 PQ_SUBHEADER = struct.Struct("<BBH")
 
-#: Lloyd iterations of the deterministic per-subspace k-means.
+#: Lloyd iterations of the deterministic k-means.
 _LLOYD_ITERS = 6
+
+#: relative slack on the mean-side lower bound of
+#: :func:`effective_bits_bound`, far above the float rounding of the two
+#: means it compares (each a sum of at most a page of float64 sides)
+_SIDE_BOUND_SLACK = 1e-9
 
 #: ceiling for the codec-aware effective resolution (strictly below the
 #: exact 32-bit level so the cost model never treats a PQ page as free)
@@ -86,33 +92,39 @@ def subspace_spans(dim: int, n_sub: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _kmeans_1sub(sub: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic k-means assignment for one subspace.
+def _lloyd(coords: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Deterministic k-means assignment of every subspace in one pass.
 
-    Returns the per-point cluster index ``(m,)``.  Initialization takes
-    evenly spaced points of the lexicographically sorted subspace
-    vectors (a quantile sketch -- stable and data-deterministic); Lloyd
-    runs a fixed number of iterations; argmin ties go to the lowest
-    cluster index; an emptied cluster keeps its previous centroid.
+    ``coords`` is ``(w, S, m)`` and ``centroids`` ``(w, S, k)``: the
+    subspace coordinates with the span width ``w`` outermost, narrower
+    spans zero-padded (a padded coordinate adds an exact ``+0.0`` to
+    every squared distance).  ``centroids`` is updated in place; the
+    result is the per-subspace cluster index ``(S, m)``.  Lloyd runs a
+    fixed number of iterations; argmin ties go to the lowest cluster
+    index; an emptied cluster keeps its previous centroid.  One
+    ``bincount`` over ``assign + s*k`` accumulates the counts and sums
+    of all subspaces, adding each cluster's points in point order.
     """
-    m = sub.shape[0]
-    order = np.lexsort(
-        tuple(sub[:, c] for c in range(sub.shape[1] - 1, -1, -1))
-    )
-    picks = (np.arange(k, dtype=np.int64) * m) // k
-    centroids = sub[order[picks]].astype(np.float64).copy()
-    assign = np.zeros(m, dtype=np.int64)
+    _, n_sub, m = coords.shape
+    k = centroids.shape[2]
+    base = np.arange(n_sub, dtype=np.int64)[:, None] * k
+    assign = np.zeros((n_sub, m), dtype=np.int64)
     for _ in range(_LLOYD_ITERS):
-        diff = sub[:, None, :] - centroids[None, :, :]
-        d2 = np.einsum("mkd,mkd->mk", diff, diff)
-        assign = np.argmin(d2, axis=1)
-        counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, sub)
+        diffs = [
+            x[:, :, None] - c[:, None, :] for x, c in zip(coords, centroids)
+        ]
+        d2 = np.square(diffs[0], out=diffs[0])
+        for diff in diffs[1:]:
+            d2 += np.square(diff, out=diff)
+        assign = np.argmin(d2, axis=2)
+        flat = (assign + base).ravel()
+        counts = np.bincount(flat, minlength=n_sub * k)
         nonempty = counts > 0
-        centroids[nonempty] = (
-            sums[nonempty] / counts[nonempty][:, None]
-        )
+        for x, c in zip(coords, centroids):
+            sums = np.bincount(
+                flat, weights=x.ravel(), minlength=n_sub * k
+            )
+            c.reshape(-1)[nonempty] = sums[nonempty] / counts[nonempty]
     return assign
 
 
@@ -148,10 +160,14 @@ def fit_pq(
     ``codes`` is ``(m, S)`` uint32 cluster selectors; ``box_lo`` /
     ``box_hi`` are ``(K, d)`` little-endian float32 arrays where the
     columns of subspace ``s`` hold that subspace's cluster boxes.
-    Unused dimensions of a cluster slot (and entirely empty slots) are
-    filled from slot 0 of the same subspace -- codes never reference
-    them, but the arrays must be fully deterministic for byte-stable
-    re-encoding.
+
+    Each subspace starts from evenly spaced points of its
+    lexicographically sorted vectors (a quantile sketch -- stable and
+    data-deterministic); one Lloyd pass then fits all ``S`` subspaces
+    together (:func:`_lloyd`).  An empty cluster slot is filled from
+    the first non-empty slot of the same subspace -- codes never
+    reference it, but the arrays must be fully deterministic for
+    byte-stable re-encoding.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -163,25 +179,34 @@ def fit_pq(
         raise QuantizationError("PQ bits must be in [1, 16]")
     k = min(1 << bits, m)
     spans = subspace_spans(d, n_sub)
-    codes = np.empty((m, len(spans)), dtype=np.uint32)
-    box_lo = np.empty((k, d), dtype=np.float64)
-    box_hi = np.empty((k, d), dtype=np.float64)
+    width = max(b - a for a, b in spans)
+    coords = np.zeros((width, n_sub, m))
+    centroids = np.zeros((width, n_sub, k))
+    picks = (np.arange(k, dtype=np.int64) * m) // k
     for s, (a, b) in enumerate(spans):
-        sub = points[:, a:b]
-        assign = _kmeans_1sub(sub, k)
-        codes[:, s] = assign.astype(np.uint32)
-        lo = np.full((k, b - a), np.inf)
-        hi = np.full((k, b - a), -np.inf)
-        np.minimum.at(lo, assign, sub)
-        np.maximum.at(hi, assign, sub)
-        empty = ~np.isfinite(lo[:, 0])
-        if np.any(empty):
-            lo[empty] = lo[int(np.flatnonzero(~empty)[0])]
-            hi[empty] = hi[int(np.flatnonzero(~empty)[0])]
-        box_lo[:, a:b] = lo
-        box_hi[:, a:b] = hi
+        sub = points[:, a:b].T
+        order = np.lexsort(sub[::-1])
+        coords[: b - a, s] = sub
+        centroids[: b - a, s] = sub[:, order[picks]]
+    assign = _lloyd(coords, centroids)
+    flat = (assign + np.arange(n_sub, dtype=np.int64)[:, None] * k).ravel()
+    lo = np.full((width, n_sub * k), np.inf)
+    hi = np.full((width, n_sub * k), -np.inf)
+    for i in range(width):
+        np.minimum.at(lo[i], flat, coords[i].ravel())
+        np.maximum.at(hi[i], flat, coords[i].ravel())
+    lo = lo.reshape(width, n_sub, k)
+    hi = hi.reshape(width, n_sub, k)
+    filled = np.isfinite(lo[0])
+    first = np.argmax(filled, axis=1)
+    box_lo = np.empty((k, d))
+    box_hi = np.empty((k, d))
+    for s, (a, b) in enumerate(spans):
+        slot = np.where(filled[s], np.arange(k), first[s])
+        box_lo[:, a:b] = lo[: b - a, s, slot].T
+        box_hi[:, a:b] = hi[: b - a, s, slot].T
     lo32, hi32 = _sound_f32_bounds(box_lo, box_hi)
-    return codes, lo32, hi32
+    return assign.T.astype(np.uint32), lo32, hi32
 
 
 def pq_body_size(m: int, dim: int, n_sub: int, bits: int) -> int:
@@ -380,4 +405,47 @@ def effective_bits(
         MAX_EFF_BITS,
     )
     eff = float(per_dim.mean())
+    return float(min(max(eff, 1.0), MAX_EFF_BITS))
+
+
+def effective_bits_bound(
+    points: np.ndarray, extents: np.ndarray, k: int
+) -> float:
+    """Upper bound on :func:`effective_bits` of any fit of ``points``.
+
+    Holds for every :func:`fit_pq` configuration with at most ``k``
+    clusters per subspace, without fitting one.  In any partition of
+    the ``m`` points into at most ``k`` groups, a point in a group of
+    two or more has a box side in dimension ``j`` of at least its
+    nearest-neighbour gap there (its group's range covers the gap to
+    some other member), and at most ``k`` points are singletons.  So
+    the mean side is at least ``lb_j``: the sum of all gaps but the
+    ``k`` largest, over ``m``.  This holds for multi-dimensional
+    subspaces too, since a box side is the range of the group's members
+    in that one dimension, and the float32 boxes only widen it.
+    :func:`effective_bits` falls as sides grow, so the same formula
+    over ``lb_j`` bounds it from above.  ``lb_j`` carries the relative
+    slack ``_SIDE_BOUND_SLACK`` so that float rounding in either mean
+    cannot cross it.  A live dimension with ``lb_j = 0`` bounds nothing
+    (a tiny non-zero side is unbounded in log space): the result is
+    then ``MAX_EFF_BITS``.
+    """
+    extents = np.asarray(extents, dtype=np.float64)
+    live = extents > 0.0
+    if not np.any(live):
+        return MAX_EFF_BITS
+    x = np.sort(np.asarray(points, dtype=np.float64)[:, live], axis=0)
+    m = x.shape[0]
+    if k >= m:
+        return MAX_EFF_BITS
+    gaps = np.diff(x, axis=0)
+    nearest = np.empty_like(x)
+    nearest[0] = gaps[0]
+    nearest[-1] = gaps[-1]
+    np.minimum(gaps[:-1], gaps[1:], out=nearest[1:-1])
+    nearest.sort(axis=0)
+    lb = nearest[: m - k].sum(axis=0) / m * (1.0 - _SIDE_BOUND_SLACK)
+    if not np.all(lb > 0.0):
+        return MAX_EFF_BITS
+    eff = float(np.log2(extents[live] / lb).mean())
     return float(min(max(eff, 1.0), MAX_EFF_BITS))
