@@ -14,10 +14,21 @@ on the GIL.
 The page table stacks every loaded page's per-point rows into a few
 contiguous arrays with page offsets (:class:`PageStack`): the cell
 boxes and ids of the quantized pages, the coordinates and ids of the
-exact pages.  A plan kernel bounds all of a query's candidate points in
-one ``mindist_to_boxes`` pass over its candidate rows, computes upper
-bounds only for the few points that can set the k-th radius, and turns
-rows back into ``(page, local)`` keys only for the points that survive.
+exact pages.  The quantized stack also carries, built once per batch,
+a column-major copy of the cell boxes and each page's bounding box.
+
+A plan kernel first abandons rows: it takes a bound (the radius, or for
+kNN a k-th upper bound from the candidate page nearest the query),
+folds each candidate row's per-dimension mindist terms in stages of a
+few dimensions from the column-major copy, and drops a row as soon as
+its partial fold exceeds the bound -- the partial-distance elimination
+of branch-and-bound nearest-neighbour search.  Only the rows that
+remain get one ``mindist_to_boxes`` pass, gathered as C-contiguous
+rows so each lower bound is the same float a pass over every row would
+give; upper bounds are computed only for the few points that can set
+the k-th radius, and rows turn back into ``(page, local)`` keys only
+for the points that survive.  :func:`plan_knn_query` carries the
+exactness proof.
 
 Both executor backends (and the serial ``workers=1`` path) run exactly
 these functions, so thread/process/serial execution is bit-identical by
@@ -99,11 +110,22 @@ class PageStack:
     rows.  Stacking lets a kernel bound all of a query's candidate
     points in one numpy pass and lets the stack ship as a fixed number
     of arena arrays, however many pages it holds.
+
+    A stack of cell boxes -- rows ``(lower, upper, ...)`` whose first
+    two arrays are ``(n, d)`` corners -- also carries the layouts of the
+    early-abandoning plan pass: ``columns``, a column-major ``(d, 2, n)``
+    copy of the corners (``columns[j, 0]`` is dimension ``j`` of every
+    lower corner, ``columns[j, 1]`` of every upper one), and ``boxes``,
+    the ``(2, P, d)`` lower and upper corners of each page's bounding
+    box (``+inf``/``-inf`` for a page without points).  Other stacks
+    leave both ``None``.
     """
 
     pages: object  # (P,) int64 page numbers, ascending
     offsets: object  # (P + 1,) int64 first row of each page
     rows: tuple  # row-aligned arrays, each (n, ...)
+    columns: object = None  # (d, 2, n) box corners, dimension-major
+    boxes: object = None  # (2, P, d) per-page bounding boxes
 
     @classmethod
     def stack(cls, entries, empty: tuple) -> "PageStack":
@@ -119,10 +141,33 @@ class PageStack:
             )
         else:
             rows = empty
+        columns = boxes = None
+        if len(empty) > 1 and empty[1].ndim == 2:
+            dim = empty[0].shape[1]
+            columns = np.empty((dim, 2, int(offsets[-1])))
+            # Page by page: a transposing copy in page-sized blocks
+            # stays in cache, unlike one over the whole stack.
+            for s, (_page, (lower, upper, *_rest)) in enumerate(entries):
+                block = columns[:, :, offsets[s] : offsets[s + 1]]
+                block[:, 0] = lower.T
+                block[:, 1] = upper.T
+            boxes = np.empty((2, len(entries), dim))
+            boxes[0], boxes[1] = np.inf, -np.inf
+            held = np.flatnonzero(np.diff(offsets))  # pages with points
+            if held.size:
+                starts = offsets[held]
+                boxes[0, held] = np.minimum.reduceat(
+                    columns[:, 0], starts, axis=1
+                ).T
+                boxes[1, held] = np.maximum.reduceat(
+                    columns[:, 1], starts, axis=1
+                ).T
         return cls(
             pages=np.array([page for page, _ in entries], dtype=np.int64),
             offsets=offsets,
             rows=rows,
+            columns=columns,
+            boxes=boxes,
         )
 
     def frozen(self, arena) -> "PageStack":
@@ -130,6 +175,8 @@ class PageStack:
             pages=_freeze(self.pages, arena),
             offsets=_freeze(self.offsets, arena),
             rows=tuple(_freeze(a, arena) for a in self.rows),
+            columns=_freeze(self.columns, arena),
+            boxes=_freeze(self.boxes, arena),
         )
 
     def resolved(self) -> "PageStack":
@@ -137,19 +184,29 @@ class PageStack:
             pages=resolve(self.pages),
             offsets=resolve(self.offsets),
             rows=tuple(resolve(a) for a in self.rows),
+            columns=resolve(self.columns),
+            boxes=resolve(self.boxes),
         )
 
+    def slots(self, pages: np.ndarray) -> np.ndarray:
+        """Stack slots of those of ``pages`` (ascending) this stack
+        holds, ascending."""
+        slots = np.searchsorted(self.pages, pages)
+        held = slots < self.pages.size
+        held[held] = self.pages[slots[held]] == pages[held]
+        return slots[held]
+
     def select(self, pages: np.ndarray):
-        """Rows of those of ``pages`` (ascending) this stack holds.
+        """Rows of those of ``pages`` (ascending) this stack holds."""
+        return self.rows_of(self.slots(pages))
+
+    def rows_of(self, slots: np.ndarray):
+        """Rows of the pages in ``slots`` (ascending).
 
         A slice when the pages are adjacent in the stack, so the kernel
         bounds a view instead of copying the candidate rows; otherwise
         an ascending row-index array.
         """
-        slots = np.searchsorted(self.pages, pages)
-        held = slots < self.pages.size
-        held[held] = self.pages[slots[held]] == pages[held]
-        slots = slots[held]
         if slots.size == 0:
             return slice(0, 0)
         starts = self.offsets[slots]
@@ -173,9 +230,18 @@ class PageStack:
         )
 
     def row(self, page: int, local: int) -> int:
-        """Row of point ``local`` of ``page``."""
+        """Row of point ``local`` of ``page``.
+
+        Raises ``KeyError`` when the stack does not hold ``page`` or
+        the page has no point ``local``.
+        """
         slot = int(np.searchsorted(self.pages, page))
-        return int(self.offsets[slot]) + local
+        if slot == self.pages.size or self.pages[slot] != page:
+            raise KeyError(page)
+        row = int(self.offsets[slot]) + local
+        if local < 0 or row >= self.offsets[slot + 1]:
+            raise KeyError((page, local))
+        return row
 
 
 def _rows_at(selection, positions: np.ndarray) -> np.ndarray:
@@ -369,41 +435,208 @@ def _kth_smallest(values: np.ndarray, k: int):
     return np.partition(values, k - 1)[k - 1]
 
 
-def plan_knn_query(query, k, pages, table, metric) -> dict:
-    """Bound every candidate point of one query; pick refinements.
+#: dimensions whose terms one stage of the abandoning pass folds in
+STAGE_DIMS = 8
+#: relative slack of the abandoning pass's drop test (see
+#: :func:`plan_knn_query` for why it is needed and why it suffices)
+ABANDON_SLACK = 1e-9
+
+
+class _Scratch:
+    """Work buffers of the abandoning pass over one box stack.
+
+    Allocated once per shard call, sized for every row of the stack,
+    and reused by each query of the call.
+    """
+
+    def __init__(self, stack: PageStack):
+        dim, _two, n = stack.columns.shape
+        stage = min(STAGE_DIMS, dim)
+        self.block = np.empty(stage * 2 * n)
+        self.terms = np.empty(stage * n)
+        self.part = np.empty(n)
+        self.acc = np.empty(n)
+
+
+def _selected(selection) -> int:
+    """Row count of a :meth:`PageStack.rows_of` selection."""
+    if isinstance(selection, slice):
+        return selection.stop - selection.start
+    return selection.size
+
+
+def _abandon(query, stack, slots, page_lower, bound, metric, scratch):
+    """Rows of the pages in ``slots`` whose box mindist may be
+    ``<= bound``, as a :meth:`PageStack.rows_of` selection.
+
+    ``page_lower`` holds the mindist of each page's bounding box; a page
+    whose box is farther than the bound (by more than
+    :data:`ABANDON_SLACK` relative) takes no part.  The pass then folds
+    each remaining row's per-dimension mindist terms in stages of
+    :data:`STAGE_DIMS` dimensions, read from the stack's column-major
+    corners, and after every stage drops the rows whose partial fold
+    exceeds ``metric.power(bound)`` by more than :data:`ABANDON_SLACK`
+    relative.
+    """
+    if not np.isfinite(bound):
+        return stack.rows_of(slots)
+    selection = stack.rows_of(
+        slots[page_lower <= bound * (1.0 + ABANDON_SLACK)]
+    )
+    n = _selected(selection)
+    limit = metric.power(bound) * (1.0 + ABANDON_SLACK)
+    columns = stack.columns
+    dim = columns.shape[0]
+    kept = None  # positions within selection; None while all remain
+    acc = scratch.acc
+    for j0 in range(0, dim if n else 0, STAGE_DIMS):
+        j1 = min(dim, j0 + STAGE_DIMS)
+        m = n if kept is None else kept.size
+        if kept is None and isinstance(selection, slice):
+            block = columns[j0:j1, :, selection]
+        else:
+            block = np.take(
+                columns[j0:j1],
+                selection if kept is None else _rows_at(selection, kept),
+                axis=2,
+                out=scratch.block[: (j1 - j0) * 2 * m].reshape(
+                    j1 - j0, 2, m
+                ),
+                mode="clip",  # rows of a selection are in range
+            )
+        # The per-dimension gap, as clip(q, lower, upper) - q: the
+        # same magnitude as mindist_components, with a sign the
+        # metric's terms discard.
+        q = query[j0:j1, None]
+        terms = scratch.terms[: (j1 - j0) * m].reshape(j1 - j0, m)
+        np.minimum(block[:, 1], q, out=terms)
+        np.maximum(terms, block[:, 0], out=terms)
+        np.subtract(terms, q, out=terms)
+        metric.terms(terms, out=terms)
+        if j0 == 0:
+            metric.fold.reduce(terms, axis=0, out=acc[:m])
+        else:
+            part = metric.fold.reduce(terms, axis=0, out=scratch.part[:m])
+            metric.fold(acc[:m], part, out=acc[:m])
+        stay = np.flatnonzero(acc[:m] <= limit)
+        if stay.size == m:
+            continue
+        kept = stay if kept is None else kept[stay]
+        acc[: stay.size] = acc[stay]
+        if stay.size == 0:
+            break
+    if kept is None:
+        return selection
+    return _rows_at(selection, kept)
+
+
+def _seed_bound(query, k, slots, page_lower, stack, exact_dists, metric):
+    """tau0: a k-th smallest upper bound from the pages nearest ``query``.
+
+    Takes the pages in ``slots`` in ascending order of ``page_lower``,
+    their bounding boxes' mindist -- as few as make ``k`` values
+    together with the exact distances, and at least one with points --
+    and returns the k-th smallest of those pages' upper bounds pooled
+    with the exact distances.  The pool is part of the pool that
+    defines tau, so ``tau0 >= tau``.
+    """
+    near = slots[np.argsort(page_lower, kind="stable")]
+    counts = np.cumsum(stack.offsets[near + 1] - stack.offsets[near])
+    take = int(np.searchsorted(counts, max(k - exact_dists.size, 1))) + 1
+    rows = stack.rows_of(np.sort(near[:take]))
+    lo, up, _ids = stack.rows
+    seed_up = maxdist_to_boxes(query, lo[rows], up[rows], metric)
+    return _kth_smallest(np.concatenate([exact_dists, seed_up]), k)
+
+
+def _page_lower(query, stack, slots, metric) -> np.ndarray:
+    """Mindist of the bounding boxes of the pages in ``slots``."""
+    return mindist_to_boxes(
+        query, stack.boxes[0][slots], stack.boxes[1][slots], metric
+    )
+
+
+def plan_knn_query(query, k, pages, table, metric, scratch) -> dict:
+    """Bound one query's candidate points; pick refinements.
 
     A quantized point is refined when its lower bound is at most tau,
     the k-th smallest upper bound over all candidate points (an exact
-    point's distance is both its bounds).  Lower bounds come from one
-    ``mindist_to_boxes`` pass over the query's stacked candidate rows;
-    upper bounds are computed only where they can decide tau:
+    point's distance is both its bounds).  The kernel computes lower
+    bounds only for the rows that can be refined, and upper bounds only
+    where they can decide tau:
 
-    1. Seed: the k quantized points with the smallest lower bounds
-       (all of them when there are fewer).  T' is the k-th smallest of
-       their upper bounds pooled with the exact distances.
-    2. S is the set of quantized points with lower bound <= T'; tau is
-       the k-th smallest of S's upper bounds pooled with the exact
-       distances.
+    1. Bound: tau0 from :func:`_seed_bound`, the k-th smallest upper
+       bound over the exact distances and the rows of the candidate
+       page(s) whose bounding box is nearest the query -- a sub-pool
+       of the pool that defines tau, so ``tau0 >= tau``.
+    2. Abandon: :func:`_abandon` skips the pages whose bounding box is
+       farther than ``tau0 * (1 + 1e-9)``, folds each other row's
+       per-dimension mindist terms in stages, and drops the rows whose
+       partial fold exceeds ``power(tau0) * (1 + 1e-9)``.  R is the
+       rows that remain.
+    3. Exact pass: one ``mindist_to_boxes`` call over R, gathered as
+       C-contiguous ``(m, d)`` rows.  Seed: the k rows of R with the
+       smallest lower bounds (all of them when there are fewer).  T'
+       is the k-th smallest of their upper bounds pooled with the exact
+       distances.  S is the set of rows of R with lower bound <= T';
+       tau is the k-th smallest of S's upper bounds pooled with the
+       exact distances.
 
-    This tau is the same float as the k-th smallest upper bound over
-    *all* candidates.  Every seed point whose upper bound is <= T' has
-    lower <= upper <= T', so it is in S; the pool that defined T'
-    therefore puts at least k values <= T' into S plus the exact
-    distances, and the k-th smallest of those is <= T'.  Any point
-    outside S has upper >= lower > T', so adding it cannot move the
-    k-th smallest.  Each bound is computed row by row, so a row's value
-    does not depend on which other rows share the call, and ``lower <=
-    tau`` selects the same refinement set, in ascending ``(page,
-    local)`` order as the tie handling of :class:`KBest` requires.
+    Every row outside R has ``lower > tau0 >= tau``:
+
+    * A skipped page's rows lie in its bounding box, whose corners are
+      the minimum and maximum of theirs, so each per-dimension gap of a
+      row is at least the box's (the same float operations on larger
+      inputs), and ``mindist_to_boxes`` folds both in the same order.
+      Rounding is monotone, so the row's lower bound is at least the
+      box's, up to an ulp of the power and root, which the slack
+      covers.
+    * A dropped row's terms are non-negative and ``mindist_to_boxes``
+      folds a superset of them, so its full fold is at least the
+      partial one up to rounding: a sequential partial sum of at most
+      d terms can exceed numpy's pairwise full sum of the same terms
+      (or ``metric.terms`` can round a term differently from
+      ``metric.lengths``) by a relative ``O(d * 2**-53)``, and
+      ``power(tau0)`` and the length's root round by an ulp each.  The
+      relative slack of 1e-9 exceeds all of these for any d below
+      about 10**6 (a max fold does not round at all), so a partial
+      fold above ``power(tau0) * (1 + 1e-9)`` means a full lower bound
+      above tau0.
+
+    Hence R keeps every row with ``lower <= tau``, in particular every
+    row whose upper bound is at most tau; the pool of R's upper bounds
+    and the exact distances holds every value <= tau of the full pool,
+    so its k-th smallest is tau.  The seed argument then runs on R:
+    every seed row whose upper bound is <= T' has lower <= upper <= T',
+    so it is in S; the pool that defined T' therefore puts at least k
+    values <= T' into S plus the exact distances, and the k-th smallest
+    of those is <= T'; any row outside S has upper >= lower > T', so
+    adding it cannot move the k-th smallest.  Each bound is computed
+    row by row over C-contiguous rows, so a row's value does not depend
+    on which other rows share the call, and ``lower <= tau`` over R
+    selects the same floats and the same refinement set as one pass
+    over every candidate row, in ascending ``(page, local)`` order as
+    the tie handling of :class:`KBest` requires.  With fewer than k
+    candidate points tau is infinite and nothing is abandoned.
     """
     points, ids = table.exact.rows
     exact_sel = table.exact.select(pages)
     exact_dists = metric.distances(query, points[exact_sel])
-    lo, up, _ids = table.quant.rows
-    sel = table.quant.select(pages)
-    lo, up = lo[sel], up[sel]
+    quant = table.quant
+    slots = quant.slots(pages)
+    n_quant = int((quant.offsets[slots + 1] - quant.offsets[slots]).sum())
+    candidate_points = exact_dists.size + n_quant
+    page_lower = _page_lower(query, quant, slots, metric)
+    if candidate_points < k or n_quant == 0:
+        tau0 = np.inf
+    else:
+        tau0 = _seed_bound(
+            query, k, slots, page_lower, quant, exact_dists, metric
+        )
+    kept = _abandon(query, quant, slots, page_lower, tau0, metric, scratch)
+    lo, up, _ids = quant.rows
+    lo, up = lo[kept], up[kept]
     lower = mindist_to_boxes(query, lo, up, metric)
-    candidate_points = exact_dists.size + lower.size
     if candidate_points < k:
         tau = np.inf
     else:
@@ -421,26 +654,40 @@ def plan_knn_query(query, k, pages, table, metric) -> dict:
     return {
         "exact_dists": exact_dists,
         "exact_ids": ids[exact_sel],
-        "refine": table.quant.keys(_rows_at(sel, survivors)),
+        "refine": quant.keys(_rows_at(kept, survivors)),
         "candidate_points": candidate_points,
+        "bounded": lower.size,
     }
 
 
-def plan_range_query(query, radius, pages, table, metric) -> dict:
-    """Classify one query's candidate points for a range search."""
+def plan_range_query(query, radius, pages, table, metric, scratch) -> dict:
+    """Classify one query's candidate points for a range search.
+
+    The radius is the bound of :func:`_abandon`: a dropped row has a
+    lower bound above the radius (the argument of
+    :func:`plan_knn_query` with tau0 = radius), so the exact pass over
+    the rows that remain refines the same points, in the same order.
+    """
     points, ids = table.exact.rows
     exact_sel = table.exact.select(pages)
     dists = metric.distances(query, points[exact_sel])
     inside = dists <= radius
-    lo, up, _ids = table.quant.rows
-    sel = table.quant.select(pages)
-    lower = mindist_to_boxes(query, lo[sel], up[sel], metric)
+    quant = table.quant
+    slots = quant.slots(pages)
+    kept = _abandon(
+        query, quant, slots, _page_lower(query, quant, slots, metric),
+        radius, metric, scratch,
+    )
+    lo, up, _ids = quant.rows
+    lower = mindist_to_boxes(query, lo[kept], up[kept], metric)
     survivors = np.flatnonzero(lower <= radius)
+    n_quant = int((quant.offsets[slots + 1] - quant.offsets[slots]).sum())
     return {
         "exact_ids": ids[exact_sel][inside].astype(np.int64, copy=False),
         "exact_dists": dists[inside].astype(np.float64, copy=False),
-        "refine": table.quant.keys(_rows_at(sel, survivors)),
-        "candidate_points": dists.size + lower.size,
+        "refine": quant.keys(_rows_at(kept, survivors)),
+        "candidate_points": dists.size + n_quant,
+        "bounded": lower.size,
     }
 
 
@@ -527,12 +774,13 @@ def assemble_result(
 def plan_knn_shard(task: KnnPlanTask, indices, _ledger) -> list[dict]:
     """Phase 1 (pure): per-query point-level bounds + refinement picks."""
     task = task.resolved()
+    scratch = _Scratch(task.table.quant)
     out = []
     for i in indices:
         before = ledger_state(_ledger) if task.trace else None
         cand, lost = _candidates(task.cand_mask[i], task.lost)
         plan = plan_knn_query(
-            task.queries[i], task.k, cand, task.table, task.metric
+            task.queries[i], task.k, cand, task.table, task.metric, scratch
         )
         plan["lost"] = lost
         plan["candidate_pages"] = int(np.count_nonzero(task.cand_mask[i]))
@@ -545,6 +793,7 @@ def plan_knn_shard(task: KnnPlanTask, indices, _ledger) -> list[dict]:
                     query=int(i),
                     pages=plan["candidate_pages"],
                     points=plan["candidate_points"],
+                    bounded=plan["bounded"],
                     refine=len(plan["refine"]),
                     lost=len(lost),
                 ),
@@ -556,6 +805,7 @@ def plan_knn_shard(task: KnnPlanTask, indices, _ledger) -> list[dict]:
 def plan_range_shard(task: RangePlanTask, indices, _ledger) -> list[dict]:
     """Phase 1 (pure): per-query candidate classification."""
     task = task.resolved()
+    scratch = _Scratch(task.table.quant)
     out = []
     for i in indices:
         before = ledger_state(_ledger) if task.trace else None
@@ -566,6 +816,7 @@ def plan_range_shard(task: RangePlanTask, indices, _ledger) -> list[dict]:
             cand,
             task.table,
             task.metric,
+            scratch,
         )
         plan["lost"] = lost
         plan["candidate_pages"] = int(np.count_nonzero(task.cand_mask[i]))
@@ -578,6 +829,7 @@ def plan_range_shard(task: RangePlanTask, indices, _ledger) -> list[dict]:
                     query=int(i),
                     pages=plan["candidate_pages"],
                     points=plan["candidate_points"],
+                    bounded=plan["bounded"],
                     refine=len(plan["refine"]),
                     lost=len(lost),
                 ),

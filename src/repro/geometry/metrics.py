@@ -6,7 +6,10 @@ behind a small :class:`Metric` interface, along with general ``L_p``
 metrics.  Each metric knows how to
 
 * measure the length of one difference vector (:meth:`Metric.length`),
-* measure many vectors at once (:meth:`Metric.lengths`), and
+* measure many vectors at once (:meth:`Metric.lengths`),
+* split a length into per-dimension terms folded by one ufunc
+  (:meth:`Metric.terms`, :attr:`Metric.fold`, :meth:`Metric.power`), so a
+  search can abandon a vector after a prefix of its dimensions, and
 * report the volume of its unit ball, which the cost model needs to turn
   point densities into nearest-neighbor radii (eqs. 7-9 of the paper).
 """
@@ -33,15 +36,37 @@ __all__ = [
 class Metric:
     """Abstract distance metric over ``R^d``.
 
-    Subclasses implement :meth:`lengths`; the remaining convenience
-    methods are derived from it.
+    Subclasses implement :meth:`lengths` and its decomposition
+    (:attr:`fold`, :meth:`terms`, :meth:`power`); the remaining
+    convenience methods are derived from :meth:`lengths`.
+
+    The decomposition says a length is a monotone function of a fold
+    over per-dimension terms: ``power(lengths(v))`` equals
+    ``fold.reduce(terms(v), axis=-1)`` up to rounding.  Every term is
+    non-negative and folding in more terms never lowers the result, so a
+    fold over *some* dimensions is a lower bound of the power of the
+    whole length -- what early-abandoning searches compare against
+    ``power(bound)``.
     """
 
     #: short, stable identifier (used in benchmark reports)
     name: str = "abstract"
 
+    #: ufunc folding per-dimension terms (``np.add`` or ``np.maximum``)
+    fold: np.ufunc
+
     def lengths(self, vectors: np.ndarray) -> np.ndarray:
         """Lengths of ``vectors`` (shape ``(..., d)``) -> shape ``(...,)``."""
+        raise NotImplementedError
+
+    def terms(self, vectors: np.ndarray, out=None) -> np.ndarray:
+        """Per-dimension terms of ``vectors``, elementwise (``out`` may
+        be ``vectors`` itself)."""
+        raise NotImplementedError
+
+    def power(self, length: float) -> float:
+        """``length`` in term space: the fold a vector of that length
+        has over all of its dimensions."""
         raise NotImplementedError
 
     def length(self, vector: np.ndarray) -> float:
@@ -85,9 +110,16 @@ class EuclideanMetric(Metric):
     """The ordinary L2 metric."""
 
     name = "euclidean"
+    fold = np.add
 
     def lengths(self, vectors: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(np.square(vectors), axis=-1))
+
+    def terms(self, vectors: np.ndarray, out=None) -> np.ndarray:
+        return np.square(vectors, out=out)
+
+    def power(self, length: float) -> float:
+        return length * length
 
     def unit_ball_volume(self, dim: int) -> float:
         # V_sphere(r) = sqrt(pi)^d / Gamma(d/2 + 1) * r^d   (paper eq. 8)
@@ -100,9 +132,16 @@ class MaximumMetric(Metric):
     """The maximum (Chebyshev / L-infinity) metric."""
 
     name = "maximum"
+    fold = np.maximum
 
     def lengths(self, vectors: np.ndarray) -> np.ndarray:
         return np.max(np.abs(vectors), axis=-1)
+
+    def terms(self, vectors: np.ndarray, out=None) -> np.ndarray:
+        return np.abs(vectors, out=out)
+
+    def power(self, length: float) -> float:
+        return length
 
     def unit_ball_volume(self, dim: int) -> float:
         # V_cube(r) = (2r)^d   (paper eq. 9)
@@ -120,8 +159,16 @@ class LpMetric(Metric):
         self.p = float(p)
         self.name = f"l{p:g}"
 
+    fold = np.add
+
     def lengths(self, vectors: np.ndarray) -> np.ndarray:
         return np.sum(np.abs(vectors) ** self.p, axis=-1) ** (1.0 / self.p)
+
+    def terms(self, vectors: np.ndarray, out=None) -> np.ndarray:
+        return np.power(np.abs(vectors, out=out), self.p, out=out)
+
+    def power(self, length: float) -> float:
+        return length**self.p
 
     def unit_ball_volume(self, dim: int) -> float:
         # Volume of the unit L_p ball: (2 Gamma(1/p + 1))^d / Gamma(d/p + 1)

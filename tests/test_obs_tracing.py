@@ -398,6 +398,34 @@ class TestDistributedAttribution:
         names = [c.name for c in refine.children]
         assert names.index("fetch-exact") > names.index("plan-query")
 
+    def test_plan_spans_report_bounded_rows(self, rng):
+        """kNN and range plan-query spans carry ``bounded``, the rows
+        that reached the exact pass: at most the candidate points, at
+        least the refinements, and fewer than the candidates once the
+        abandoning pass drops rows (uniform 16-d quantized pages)."""
+        disk = SimulatedDisk(
+            DiskModel(t_seek=0.010, t_xfer=0.001, block_size=512)
+        )
+        tree = IQTree.build(
+            rng.random((3000, 16)), disk=disk, optimize=False,
+            fixed_bits=8,
+        )
+        engine = tree.query_engine(workers=2, backend="thread")
+        queries = rng.random((4, 16))
+        try:
+            with trace_query(engine) as tracer:
+                engine.knn_batch(queries, k=5)
+                engine.range_batch(queries, radius=0.9)
+        finally:
+            engine.close()
+        plans = tracer.root.find_all("plan-query")
+        assert len(plans) == 2 * len(queries)
+        for plan in plans:
+            attrs = plan.attrs
+            assert attrs["refine"] <= attrs["bounded"] <= attrs["points"]
+        knn_plans = plans[: len(queries)]
+        assert all(p.attrs["bounded"] < p.attrs["points"] for p in knn_plans)
+
     def test_trace_identical_across_workers_and_backends(self, rng):
         """Acceptance: stitched trees are bit-identical for any
         worker count and backend (sim projection, not wall clock)."""
