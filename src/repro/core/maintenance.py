@@ -44,6 +44,7 @@ from repro.core.optimizer import (
     OptimizedPartition,
     choose_codecs,
     optimize_partitions,
+    page_pq_fit,
 )
 from repro.core.partition import Partition
 from repro.core.split import split_partition
@@ -480,7 +481,8 @@ class MaintenanceManager:
         pts = part.points(tree._points)
         if new.codec == CODEC_PQ:
             payload = serializer.encode_pq_page(
-                pts,
+                page_pq_fit(new, pts),
+                part.size,
                 new.pq_bits,
                 new.pq_sub,
                 tree.disk.model.block_size,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +55,13 @@ class OptimizedPartition:
     the cost model uses in place of ``bits``.  The defaults describe a
     plain grid page, so positional two-argument construction keeps its
     pre-codec meaning.
+
+    ``pq_fit`` is the ``(codes, box_lo, box_hi)`` fit of
+    :func:`~repro.quantization.codecs.fit_pq` that codec selection
+    priced, kept so the page is encoded without fitting it again.  It
+    is ``None`` on pages that did not come out of :func:`choose_codecs`
+    (a loaded tree, a page built by hand); :func:`page_pq_fit` fits
+    those.  It takes no part in equality, hashing or ``repr``.
     """
 
     partition: Partition
@@ -63,6 +70,7 @@ class OptimizedPartition:
     pq_bits: int = 0
     pq_sub: int = 0
     eff_bits: float = 0.0
+    pq_fit: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def stats_for(opt: "OptimizedPartition"):
@@ -335,11 +343,27 @@ def _best_pq_for(
             pq_bits=pq_bits,
             pq_sub=n_sub,
             eff_bits=eff,
+            pq_fit=(codes, lo32, hi32),
         )
         cost = cost_model.refinement_cost(stats_for(candidate))
         if cost < best_cost:
             best, best_cost = candidate, cost
     return best, best_cost
+
+
+def page_pq_fit(opt: OptimizedPartition, points: np.ndarray) -> tuple:
+    """The ``(codes, box_lo, box_hi)`` fit to encode PQ page ``opt``.
+
+    The fit codec selection kept, or -- for a page that holds none --
+    a fresh :func:`~repro.quantization.codecs.fit_pq` of ``points``
+    (the page's exact coordinates).  ``fit_pq`` is deterministic, so
+    both give the same bytes.
+    """
+    if opt.pq_fit is not None:
+        return opt.pq_fit
+    from repro.quantization.codecs import fit_pq
+
+    return fit_pq(points, opt.pq_sub, opt.pq_bits)
 
 
 def _pq_cost_floor(
@@ -499,4 +523,6 @@ def choose_codecs(
     return chosen
 
 
-__all__.extend(["choose_codecs", "pq_candidate_configs", "stats_for"])
+__all__.extend(
+    ["choose_codecs", "page_pq_fit", "pq_candidate_configs", "stats_for"]
+)

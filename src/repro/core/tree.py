@@ -29,6 +29,7 @@ from repro.core.optimizer import (
     choose_codecs,
     optimize_partitions,
     fixed_bits_partitions,
+    page_pq_fit,
     stats_for,
 )
 from repro.costmodel.fractal import correlation_dimension
@@ -304,7 +305,11 @@ class IQTree:
             else:
                 if opt.codec == CODEC_PQ:
                     payload = serializer.encode_pq_page(
-                        pts, opt.pq_bits, opt.pq_sub, block_size
+                        page_pq_fit(opt, pts),
+                        part.size,
+                        opt.pq_bits,
+                        opt.pq_sub,
+                        block_size,
                     )
                 else:
                     quantizer = GridQuantizer(part.mbr, g)

@@ -17,6 +17,15 @@ Two standard estimators are provided:
 
 Both estimators work on a subsample for large inputs, clamp the result to
 ``(0, d]``, and are deterministic given the ``seed``.
+
+Memory: the correlation integral builds the ``n (n - 1) / 2`` pair
+distances of its ``n <= max_points`` subsample one row of the upper
+triangle at a time, so its peak is two ``(n^2 / 2,)`` float64 arrays
+(the distances and their positive part, about 32 MB at the default
+``n = 2000``) plus one ``(n, d)`` row difference -- independent of
+``d``, where an all-pairs ``(n, n, d)`` difference tensor would take
+512 MB at ``d = 16``.  Box counting holds one ``(n, d)`` cell-code
+array per level.
 """
 
 from __future__ import annotations
@@ -83,11 +92,9 @@ def box_counting_dimension(
         codes = np.minimum(
             (unit * cells_per_dim).astype(np.int64), cells_per_dim - 1
         )
-        # Hash each d-dim cell code to one integer key per point.
-        keys = codes[:, 0].copy()
-        for j in range(1, d):
-            keys = keys * cells_per_dim + codes[:, j]
-        occupied = np.unique(keys).size
+        # Distinct code rows, not a packed integer key: a key of
+        # ``level * d`` bits overflows int64 once that exceeds 63.
+        occupied = np.unique(codes, axis=0).shape[0]
         log_inv_eps.append(level * np.log(2.0))
         log_counts.append(np.log(occupied))
     slope = _fit_slope(np.array(log_inv_eps), np.array(log_counts))
@@ -106,20 +113,39 @@ def correlation_dimension(
     within Euclidean distance ``r``) on a geometric ladder of radii and
     fits the log-log slope over the radii where ``C(r)`` is informative
     (strictly between its floor and saturation).
+
+    The pair distances are computed one row of the upper triangle at a
+    time, in ``np.triu_indices`` order.  Each distance is the square
+    root of the same sum over the same contiguous axis as an all-pairs
+    difference tensor would give (``(a - b)^2 == (b - a)^2`` exactly),
+    so the result does not depend on the chunking.
+
+    Raises :class:`CostModelError` for fewer than two points, fewer
+    than two radii, or ``max_points < 2`` (a one-point subsample has no
+    pairs to count).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise CostModelError("need at least two points")
     if radii < 2:
         raise CostModelError("need at least two radii to fit a slope")
+    if max_points < 2:
+        raise CostModelError("need a subsample of at least two points")
     points = _subsample(points, max_points, seed)
-    d = points.shape[1]
+    n, d = points.shape
     unit = _normalize(points)
-    diffs = unit[:, None, :] - unit[None, :, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
-    iu = np.triu_indices(unit.shape[0], k=1)
-    pair_dists = dists[iu]
+    pair_dists = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        diff = unit[i + 1 :] - unit[i]
+        stop = start + diff.shape[0]
+        np.sqrt(np.sum(diff * diff, axis=-1), out=pair_dists[start:stop])
+        start = stop
+    n_pairs = pair_dists.size
+    # Zero distances are <= every radius: count them once, not per rung.
+    n_zero = np.count_nonzero(pair_dists == 0)
     positive = pair_dists[pair_dists > 0]
+    del pair_dists
     if positive.size == 0:
         # All points identical: zero-dimensional support.
         return 1e-6
@@ -130,9 +156,8 @@ def correlation_dimension(
     ladder = np.geomspace(r_lo, r_hi, radii)
     log_r = []
     log_c = []
-    n_pairs = pair_dists.size
     for r in ladder:
-        c = np.count_nonzero(pair_dists <= r) / n_pairs
+        c = (n_zero + np.count_nonzero(positive <= r)) / n_pairs
         if 0 < c < 1:
             log_r.append(np.log(r))
             log_c.append(np.log(c))

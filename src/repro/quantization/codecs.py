@@ -231,10 +231,26 @@ def pq_page_fits(
     )
 
 
-def encode_pq_body(points: np.ndarray, n_sub: int, bits: int) -> bytes:
-    """Serialize the PQ body: subheader + codebook boxes + packed codes."""
-    codes, lo32, hi32 = fit_pq(points, n_sub, bits)
+def encode_pq_body(fit: tuple, m: int, n_sub: int, bits: int) -> bytes:
+    """Serialize a PQ body: subheader + codebook boxes + packed codes.
+
+    ``fit`` is the :func:`fit_pq` result ``(codes, box_lo, box_hi)`` of
+    the page's ``m`` points at ``n_sub`` subspaces and ``bits``-bit
+    codes.  A fit whose code array is not ``(m, n_sub)``, or whose
+    cluster count exceeds ``2^bits``, raises :class:`QuantizationError`:
+    it was fitted for another point set or configuration.
+    """
+    codes, lo32, hi32 = fit
+    if codes.shape != (m, n_sub):
+        raise QuantizationError(
+            f"PQ fit has codes of shape {codes.shape}, page needs "
+            f"{(m, n_sub)}"
+        )
     k = lo32.shape[0]
+    if k > 1 << bits:
+        raise QuantizationError(
+            f"PQ fit has {k} clusters, more than {bits}-bit codes select"
+        )
     return (
         PQ_SUBHEADER.pack(n_sub, 0, k)
         + lo32.tobytes()

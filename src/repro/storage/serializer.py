@@ -143,24 +143,22 @@ def encode_quantized_page(
 
 
 def encode_pq_page(
-    points: np.ndarray, bits: int, n_sub: int, block_size: int
+    fit: tuple, m: int, bits: int, n_sub: int, block_size: int
 ) -> bytes:
     """Serialize a PQ-codec data page (codec id 1).
 
-    ``points`` are the page's exact coordinates; the per-page codebook
-    is fitted deterministically by :func:`repro.quantization.codecs.fit_pq`,
-    so re-encoding the same points always reproduces the same bytes.
+    ``fit`` is the page's :func:`repro.quantization.codecs.fit_pq`
+    result ``(codes, box_lo, box_hi)`` for its ``m`` points; a fit of
+    another point count or subspace count raises.  ``fit_pq`` is
+    deterministic, so re-encoding the same points always reproduces
+    the same bytes.
     """
     from repro.quantization.codecs import CODEC_PQ, encode_pq_body
 
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise StorageError("page contents must be a (m, d) array")
-    m, _d = points.shape
     if not 1 <= bits <= 16:
         raise StorageError("PQ bits per code must be in [1, 16]")
     payload = QUANT_PAGE_HEADER.pack(m, bits, CODEC_PQ) + encode_pq_body(
-        points, n_sub, bits
+        fit, m, n_sub, bits
     )
     if len(payload) > block_size:
         raise PageOverflowError(

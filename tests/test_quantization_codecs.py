@@ -50,6 +50,20 @@ from repro.storage.serializer import (
 )
 
 
+def pq_body(points, n_sub, bits):
+    """Encode a fresh fit of ``points`` as a PQ page body."""
+    return encode_pq_body(
+        fit_pq(points, n_sub, bits), len(points), n_sub, bits
+    )
+
+
+def pq_page(points, bits, n_sub, block_size):
+    """Encode a fresh fit of ``points`` as a PQ data page."""
+    return encode_pq_page(
+        fit_pq(points, n_sub, bits), len(points), bits, n_sub, block_size
+    )
+
+
 def micro_clusters(
     m: int, dim: int, n_clusters: int, seed: int = 0
 ) -> np.ndarray:
@@ -168,7 +182,7 @@ class TestFitPQ:
         assert a_hi.tobytes() == b_hi.tobytes()
         assert (a_codes == b_codes).all()
         # the full encoded body is byte-stable too (re-encode contract)
-        assert encode_pq_body(pts, 2, 4) == encode_pq_body(pts, 2, 4)
+        assert pq_body(pts, 2, 4) == pq_body(pts, 2, 4)
 
     @pytest.mark.parametrize("n_sub,bits", [(1, 4), (3, 2), (6, 3)])
     def test_bounds_contain_points(self, n_sub, bits):
@@ -222,7 +236,7 @@ class TestPQRoundTrip:
     def test_body_roundtrip(self, n_sub, bits):
         pts = micro_clusters(120, 4, 6, seed=1)
         codes, lo32, hi32 = fit_pq(pts, n_sub, bits)
-        body = encode_pq_body(pts, n_sub, bits)
+        body = pq_body(pts, n_sub, bits)
         assert len(body) == pq_body_size(120, 4, n_sub, bits)
         got_codes, view = decode_pq_body(body, 120, bits, 4)
         assert (got_codes == codes).all()
@@ -235,7 +249,7 @@ class TestPQRoundTrip:
 
     def test_page_roundtrip_via_serializer(self):
         pts = micro_clusters(100, 5, 4, seed=2)
-        payload = encode_pq_page(pts, 4, 2, 8192)
+        payload = pq_page(pts, 4, 2, 8192)
         m, bits, codec = QUANT_PAGE_HEADER.unpack_from(payload)
         assert (m, bits, codec) == (100, 4, CODEC_PQ)
         contents, got_bits, ids, aux = decode_quantized_page(payload, 5)
@@ -255,7 +269,7 @@ class TestPQRoundTrip:
 
     def test_pq_mindist_maxdist_bracket_true_distance(self):
         pts = micro_clusters(90, 4, 3, seed=9)
-        payload = encode_pq_page(pts, 4, 2, 8192)
+        payload = pq_page(pts, 4, 2, 8192)
         codes, _bits, _ids, view = decode_quantized_page(payload, 4)
         query = np.array([0.5, 0.1, 0.9, 0.3])
         true = EUCLIDEAN.distances(query, pts)
@@ -267,24 +281,24 @@ class TestPQRoundTrip:
     def test_page_overflow_rejected(self):
         pts = micro_clusters(300, 8, 4)
         with pytest.raises(PageOverflowError):
-            encode_pq_page(pts, 8, 4, 512)
+            pq_page(pts, 8, 4, 512)
 
     def test_pq_page_fits_matches_encoder(self):
         pts = micro_clusters(60, 4, 4)
         for block in (256, 512, 1024, 4096):
             fits = pq_page_fits(60, 4, 2, 4, block)
             if fits:
-                assert len(encode_pq_page(pts, 4, 2, block)) <= block
+                assert len(pq_page(pts, 4, 2, block)) <= block
             else:
                 with pytest.raises(PageOverflowError):
-                    encode_pq_page(pts, 4, 2, block)
+                    pq_page(pts, 4, 2, block)
 
 
 # ----------------------------------------------------------------------
 # structural validation: corruption is loud, never a wrong answer
 # ----------------------------------------------------------------------
 def pq_parts(pts, n_sub, bits):
-    body = encode_pq_body(pts, n_sub, bits)
+    body = pq_body(pts, n_sub, bits)
     m = pts.shape[0]
     k = min(1 << bits, m)
     cb_bytes = 2 * k * pts.shape[1] * 4
@@ -295,12 +309,12 @@ class TestPQCorruption:
     pts = micro_clusters(64, 4, 4, seed=5)
 
     def test_truncated_subheader(self):
-        body = encode_pq_body(self.pts, 2, 4)
+        body = pq_body(self.pts, 2, 4)
         with pytest.raises(StorageError, match="subheader"):
             decode_pq_body(body[:2], 64, 4, 4)
 
     def test_truncated_body(self):
-        body = encode_pq_body(self.pts, 2, 4)
+        body = pq_body(self.pts, 2, 4)
         with pytest.raises(StorageError, match="truncated"):
             decode_pq_body(body[:-4], 64, 4, 4)
 
@@ -317,14 +331,14 @@ class TestPQCorruption:
             decode_pq_body(bad, 64, 4, 4)
 
     def test_bad_bits(self):
-        body = encode_pq_body(self.pts, 2, 4)
+        body = pq_body(self.pts, 2, 4)
         with pytest.raises(StorageError, match="code width"):
             decode_pq_body(body, 64, 0, 4)
 
     def test_code_past_k(self):
         # K < 2^bits leaves representable-but-invalid code values
         pts = self.pts[:10]  # K = min(2^4, 10) = 10 < 16
-        body = encode_pq_body(pts, 1, 4)
+        body = pq_body(pts, 1, 4)
         k = 10
         cb_bytes = 2 * k * 4 * 4
         codes_off = PQ_SUBHEADER.size + cb_bytes
