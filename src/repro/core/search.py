@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,13 +345,10 @@ def nearest_neighbors(
     result instead of aborting it; without one, any storage failure
     surfaces as :class:`~repro.exceptions.QueryDataError`.
     """
-    if k < 1:
-        raise SearchError("k must be at least 1")
+    k = checked_k(k, tree.n_points)
     if scheduler not in ("optimized", "standard"):
         raise SearchError(f"unknown scheduler: {scheduler!r}")
     tree._ensure_clean()
-    if k > tree.n_points:
-        raise SearchError(f"k={k} exceeds the {tree.n_points} stored points")
     query = checked_query(tree, query)
     return _run_single(
         tree, "nearest", lambda: _nearest_impl(tree, query, k, scheduler)
@@ -508,20 +506,19 @@ def range_search(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
     Every point whose cell reaches into the ball is refined -- an
     answer needs its exact record -- in one third-level transfer.
     """
-    if radius < 0:
-        raise SearchError("radius must be non-negative")
+    radii = checked_radii(radius, 1)
     tree._ensure_clean()
     query = checked_query(tree, query)
-    return _run_single(tree, "range", lambda: _range_one(tree, query, radius))
+    return _run_single(tree, "range", lambda: _range_one(tree, query, radii))
 
 
-def _range_one(tree: IQTree, query: np.ndarray, radius: float) -> RangeResult:
-    from repro.engine.engine import QueryEngine
+def _range_one(
+    tree: IQTree, query: np.ndarray, radii: np.ndarray
+) -> RangeResult:
+    from repro.engine.engine import QueryEngine, range_schedule
 
     with QueryEngine(tree) as engine:
-        batch = engine._range_batch_impl(
-            query[None], np.array([radius], dtype=np.float64)
-        )
+        batch = engine._batch(query[None], range_schedule(radii), radii=radii)
     answer, stats = batch[0], batch.stats
     result = RangeResult(
         ids=answer.ids,
@@ -830,6 +827,41 @@ def checked_queries(tree: IQTree, queries) -> np.ndarray:
     if not np.all(np.isfinite(queries)):
         raise SearchError("query coordinates must be finite")
     return queries
+
+
+def checked_k(k, n_points: int) -> int:
+    """Validate a neighbor count: an integer from 1 to ``n_points``."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise SearchError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise SearchError("k must be at least 1")
+    if k > n_points:
+        raise SearchError(f"k={k} exceeds the {n_points} stored points")
+    return k
+
+
+def checked_radii(radius, n_queries: int) -> np.ndarray:
+    """Validate range radii: one scalar shared by every query or one
+    radius per query, shape ``(n_queries,)``; each finite and
+    non-negative.  Returns a contiguous ``(n_queries,)`` array."""
+    try:
+        radii = np.asarray(radius, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SearchError(
+            f"radius must be numeric, got {radius!r}"
+        ) from None
+    if radii.ndim == 0:
+        radii = np.full(n_queries, radii)
+    elif radii.shape != (n_queries,):
+        raise SearchError(
+            f"radius must be a scalar or have shape ({n_queries},), "
+            f"got {radii.shape}"
+        )
+    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
+        raise SearchError("radius must be non-negative and finite")
+    return np.ascontiguousarray(radii)
 
 
 def io_snapshot(tree: IQTree) -> IOStats:

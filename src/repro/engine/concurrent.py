@@ -23,8 +23,10 @@ Two backends execute the shards:
     method when the platform offers it).  Task payloads are pickled
     once per phase on the coordinator; large arrays travel zero-copy
     through a :class:`~repro.engine.shm.SharedArena` when the engine
-    froze them.  This is the backend that turns simulated speedup into
-    wall-clock speedup on multi-core hosts.  It requires the mapped
+    froze them.  It was built to turn simulated speedup into wall-clock
+    speedup, but on a 2-core host two process workers took 192 ms per
+    64-query kNN batch against 180 ms on two threads
+    (``docs/performance.md``, "Backend selection").  It requires the mapped
     function (and task) to be picklable -- module-level kernels, plain
     data.
 

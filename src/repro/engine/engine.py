@@ -19,14 +19,18 @@ of one):
   (:func:`~repro.storage.scheduler.plan_batched_fetch`) over the union
   of their blocks.
 
-kNN batches use a two-phase filter-and-refine plan (the VA-file
-discipline applied to the IQ-tree): the directory maxdist matrix yields
-a per-query guaranteed radius (the smallest maxdist prefix covering
-``k`` points), every page whose mindist is inside it is a candidate,
-and after decoding, the k-th smallest per-point *upper* bound prunes
-the refinement set while keeping the exact answer -- any true neighbor
-has a lower bound below that threshold.  Results are exact and agree
-with :func:`repro.core.search.nearest_neighbors` / ``range_search``.
+kNN and range batches run one pipeline (:meth:`QueryEngine._batch`)
+and differ only in how each query's candidate radius is chosen and in
+the per-query plan and assemble bodies of :mod:`repro.engine.kernels`.
+A range query's radius is given.  kNN uses a two-phase
+filter-and-refine plan (the VA-file discipline applied to the IQ-tree):
+the directory maxdist matrix yields a per-query guaranteed radius (the
+smallest maxdist prefix covering ``k`` points), every page whose
+mindist is inside it is a candidate, and after decoding, the k-th
+smallest per-point *upper* bound prunes the refinement set while
+keeping the exact answer -- any true neighbor has a lower bound below
+that threshold.  Results are exact and agree with
+:func:`repro.core.search.nearest_neighbors` / ``range_search``.
 
 An optional shared :class:`~repro.storage.cache.BufferPool` spans
 batches (and possibly several indexes), so hot directory and data
@@ -41,14 +45,16 @@ result assembly -- are sharded across a
 picklable kernels of :mod:`repro.engine.kernels`: their inputs are
 plain arrays (query rows, candidate masks, one stacked table of cell
 boxes and exact points), never an ``IQTree``, ``BlockFile``, or cache
-object, so they run equally on worker threads or worker *processes* --
-the process backend is what converts simulated speedup into wall-clock
-speedup on multi-core hosts.  Every simulated-I/O charge (directory
-scan, page fetch, third-level fetch) and every side effect on shared
-state (fault-context counters, registry instruments) stays on the
-coordinator thread and is applied in query order, so results, the I/O
-ledger, and the observability counters are bit-identical for any worker
-count and either backend.
+object, so they run equally on worker threads or worker *processes*.
+Threads are the faster parallel backend as measured: on a 2-core host,
+64-query kNN batches took 180 ms per batch on two thread workers and
+192 ms on two process workers, and processes won 9 of 48 rounds
+(``docs/performance.md``, "Backend selection").  Every simulated-I/O
+charge (directory scan, page fetch, third-level fetch) and every side
+effect on shared state (fault-context counters, registry instruments)
+stays on the coordinator thread and is applied in query order, so
+results, the I/O ledger, and the observability counters are
+bit-identical for any worker count and either backend.
 """
 
 from __future__ import annotations
@@ -60,7 +66,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.search import (
+    checked_k,
     checked_queries,
+    checked_radii,
     io_delta,
     io_snapshot,
     next_query_id,
@@ -70,15 +78,11 @@ from repro.core.tree import ExactStore, IQTree
 from repro.engine.concurrent import WorkerPool
 from repro.engine.decode import PageDecodeCache
 from repro.engine.kernels import (
+    AssembleTask,
     BatchQueryResult,
-    KnnAssembleTask,
-    KnnPlanTask,
-    RangeAssembleTask,
-    RangePlanTask,
-    assemble_knn_shard,
-    assemble_range_shard,
-    plan_knn_shard,
-    plan_range_shard,
+    PlanTask,
+    assemble_shard,
+    plan_shard,
 )
 from repro.engine.shm import SharedArena
 from repro.engine.stats import BatchStats
@@ -98,6 +102,7 @@ from repro.obs.tracing import span as obs_span
 from repro.geometry.mbr import maxdist_matrix, mindist_matrix
 from repro.storage.cache import BufferPool
 from repro.storage.disk import IOStats
+from repro.storage.runtime_faults import LostPage
 
 __all__ = [
     "QueryEngine",
@@ -130,6 +135,14 @@ def guarantee_radii(
         rows = np.flatnonzero(reached)
         radii[rows] = dmax[rows, order[rows, pos]]
     return radii
+
+
+def range_schedule(radii: np.ndarray):
+    """The range schedule of :meth:`QueryEngine._batch`: candidates
+    lie within each query's radius, and a lost page is reported with
+    an infinite maxdist -- it may hold any number of in-range points,
+    so its contribution cannot be bounded."""
+    return lambda dmin: (radii, np.broadcast_to(np.inf, dmin.shape))
 
 
 _MISSING_SPANS_WARNED = False
@@ -210,9 +223,10 @@ class QueryEngine:
         :meth:`~repro.core.tree.IQTree.use_decoded_cache`.  When
         omitted, a cache already attached to the tree is used.
     backend:
-        Executor backend for ``workers > 1``: ``"process"`` (real
-        multi-core scaling), ``"thread"``, or ``"auto"`` (default:
-        process when parallel).  Results are bit-identical either way.
+        Executor backend for ``workers > 1``: ``"process"``,
+        ``"thread"`` (the faster of the two as measured; see the module
+        docstring), or ``"auto"`` (default: process when parallel).
+        Results are bit-identical either way.
     worker_pool:
         An externally owned :class:`~repro.engine.concurrent.WorkerPool`
         to execute on instead of creating one (the shard router shares
@@ -294,7 +308,7 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    # kNN batches
+    # Public batches
     # ------------------------------------------------------------------
     def knn_batch(
         self,
@@ -320,13 +334,8 @@ class QueryEngine:
         distance *within the caller's final merged answer*.
         """
         tree = self.tree
-        if k < 1:
-            raise SearchError("k must be at least 1")
+        k = checked_k(k, tree.n_points)
         tree._ensure_clean()
-        if k > tree.n_points:
-            raise SearchError(
-                f"k={k} exceeds the {tree.n_points} stored points"
-            )
         queries = checked_queries(tree, queries)
         if radius_cap is not None:
             radius_cap = np.asarray(radius_cap, dtype=np.float64)
@@ -334,27 +343,86 @@ class QueryEngine:
                 raise SearchError(
                     "radius_cap must have one entry per query"
                 )
+            if not np.all(radius_cap >= 0):  # also rejects NaN
+                raise SearchError(
+                    "radius_cap must be non-negative (inf is allowed)"
+                )
+
+        def schedule(dmin):
+            # The k-th neighbor lies within the guarantee radius; a lost
+            # page is reported with its directory maxdist.
+            dmax = maxdist_matrix(
+                queries, tree._lowers, tree._uppers, tree.metric
+            )
+            radii = guarantee_radii(dmax, tree._counts, k)
+            if radius_cap is not None:
+                radii = np.minimum(radii, radius_cap)
+            return radii, dmax
+
+        return self._serve(
+            "knn-batch", lambda: self._batch(queries, schedule, k=k), k=k
+        )
+
+    def range_batch(self, queries: np.ndarray, radius) -> BatchResult:
+        """Range search (all points within a radius) for a batch.
+
+        ``radius`` is one scalar shared by every query or an array of
+        per-query radii, shape ``(q,)``.  Degraded-mode semantics match
+        :meth:`knn_batch`: uncertain points whose cell overlaps the
+        radius are *included* (marked via ``certain``/``intervals``),
+        and wholly lost pages are reported with an infinite maxdist
+        because their contribution cannot be bounded.
+        """
+        tree = self.tree
+        tree._ensure_clean()
+        queries = checked_queries(tree, queries)
+        radii = checked_radii(radius, queries.shape[0])
+        return self._serve(
+            "range-batch",
+            lambda: self._batch(queries, range_schedule(radii), radii=radii),
+            k=None,
+        )
+
+    def _serve(self, kind: str, run, k: int | None) -> BatchResult:
+        """Run one public batch and feed the registry instruments once.
+
+        The whole batch runs under the tree's write lock so a
+        concurrent maintenance sweep can never swap pages out from
+        under it (sweeps take the same lock).
+        """
+        tree = self.tree
         batch_id = next_query_id()
         try:
-            # The whole batch runs under the tree's write lock so a
-            # concurrent maintenance sweep can never swap pages out
-            # from under it (sweeps take the same lock).
             with tree._write_lock:
                 if tree._flight_recorder is not None:
-                    return observe_batch(
-                        tree._flight_recorder, tree, "knn-batch", batch_id,
-                        lambda: self._knn_batch_impl(queries, k, radius_cap),
+                    result = observe_batch(
+                        tree._flight_recorder, tree, kind, batch_id, run
                     )
-                return self._knn_batch_impl(queries, k, radius_cap)
+                else:
+                    result = run()
+                self._observe_batch(result.stats, result.queries, k=k)
         except StorageError as exc:
             raise_query_error(exc, tree, batch_id)
+        return result
 
-    def _knn_batch_impl(
+    # ------------------------------------------------------------------
+    # The batch pipeline (shared by kNN and range)
+    # ------------------------------------------------------------------
+    def _batch(
         self,
         queries: np.ndarray,
-        k: int,
-        radius_cap: np.ndarray | None = None,
+        schedule,
+        k: int | None = None,
+        radii: np.ndarray | None = None,
     ) -> BatchResult:
+        """One batch through the Section 2 pipeline.
+
+        ``schedule(dmin)`` returns each query's candidate radius and
+        the ``(q, pages)`` maxdist a lost page is reported with.  ``k``
+        (kNN) or ``radii`` (range) is the per-query parameter of the
+        kernels.  Feeds no batch instruments, so that ``range_search``
+        can run a single query as a one-query batch.
+        """
         tree = self.tree
         n_queries = queries.shape[0]
         before = io_snapshot(tree)
@@ -370,14 +438,9 @@ class QueryEngine:
             dmin = mindist_matrix(
                 queries, tree._lowers, tree._uppers, metric
             )
-            dmax = maxdist_matrix(
-                queries, tree._lowers, tree._uppers, metric
-            )
         with obs_span("schedule", disk=tree.disk, queries=n_queries):
-            radii = guarantee_radii(dmax, tree._counts, k)
-            if radius_cap is not None:
-                radii = np.minimum(radii, radius_cap)
-            cand_mask = dmin <= radii[:, None]
+            cand_radii, lost_maxdist = schedule(dmin)
+            cand_mask = dmin <= cand_radii[:, None]
 
         cache = PageDecodeCache(tree)
         # "fetch" and "decode" spans open inside load(); all simulated
@@ -389,40 +452,28 @@ class QueryEngine:
         try:
             with obs_span("refine", disk=tree.disk) as refine_span:
                 # Phase 1 (workers, pure): per-query point-level bounds;
-                # collect the refinement set (quantized points whose
-                # lower bound is within the k-th smallest upper bound).
-                table = cache.page_table()
-                lost = (
-                    frozenset(cache.lost_pages)
-                    if tree._fault_ctx is not None
-                    else frozenset()
+                # collect the refinement set.
+                plan_task = PlanTask(
+                    queries=queries,
+                    cand_mask=cand_mask,
+                    lost=(
+                        frozenset(cache.lost_pages)
+                        if tree._fault_ctx is not None
+                        else frozenset()
+                    ),
+                    metric=metric,
+                    table=cache.page_table(),
+                    trace=tracer is not None,
+                    k=k,
+                    radii=radii,
                 )
-                counts = tree._counts
                 if self._ships_to_processes(n_queries):
                     arena = SharedArena.create()
                 if arena is not None:
-                    queries_s = arena.put(queries)
-                    cand_mask_s = arena.put(cand_mask)
-                    dmin_s = arena.put(dmin)
-                    dmax_s = arena.put(dmax)
-                    counts_s = arena.put(counts)
-                    table_s = table.frozen(arena)
+                    plan_task = plan_task.frozen(arena)
                     arena.seal()
-                else:
-                    queries_s, cand_mask_s = queries, cand_mask
-                    dmin_s, dmax_s, counts_s = dmin, dmax, counts
-                    table_s = table
-                plan_task = KnnPlanTask(
-                    queries=queries_s,
-                    k=k,
-                    cand_mask=cand_mask_s,
-                    lost=lost,
-                    metric=metric,
-                    table=table_s,
-                    trace=tracer is not None,
-                )
                 plans, plan_io = self._worker_pool.map_sharded(
-                    plan_knn_shard, range(n_queries), task=plan_task
+                    plan_shard, range(n_queries), task=plan_task
                 )
                 if tracer is not None:
                     _stitch_worker_records(
@@ -442,169 +493,31 @@ class QueryEngine:
                     refine_span.attrs["records"] = len(all_requests)
 
                 # Phase 3 (workers, pure): per-query result assembly.
-                assemble_task = KnnAssembleTask(
-                    queries=queries_s,
-                    k=k,
-                    metric=metric,
-                    table=table_s,
-                    plans=plans,
-                    points=points,
-                    counts=counts_s,
-                    dmin=dmin_s,
-                    dmax=dmax_s,
-                    trace=tracer is not None,
-                )
-                assembled, assemble_io = self._worker_pool.map_sharded(
-                    assemble_knn_shard, range(n_queries),
-                    task=assemble_task,
-                )
-                assembled = self._split_assemble_records(
-                    tracer, assembled
-                )
-                results = self._apply_degraded_effects(assembled)
-                if refine_span is not None and any(
-                    r.degraded for r in results
-                ):
-                    refine_span.attrs["degraded"] = True
-        finally:
-            if arena is not None:
-                arena.dispose()
-        stats = self._batch_stats(
-            n_queries, before, pool_before, fault_before, cache,
-            exact_store, plan_io.merged_with(assemble_io),
-        )
-        self._observe_batch(stats, results, k=k)
-        return BatchResult(queries=results, stats=stats)
-
-    # ------------------------------------------------------------------
-    # Range batches
-    # ------------------------------------------------------------------
-    def range_batch(self, queries: np.ndarray, radius) -> BatchResult:
-        """Range search (all points within a radius) for a batch.
-
-        ``radius`` is one scalar shared by every query or an array of
-        per-query radii, shape ``(q,)``.  Degraded-mode semantics match
-        :meth:`knn_batch`: uncertain points whose cell overlaps the
-        radius are *included* (marked via ``certain``/``intervals``),
-        and wholly lost pages are reported with an infinite maxdist
-        because their contribution cannot be bounded.
-        """
-        tree = self.tree
-        tree._ensure_clean()
-        queries = checked_queries(tree, queries)
-        n_queries = queries.shape[0]
-        radii = np.broadcast_to(
-            np.asarray(radius, dtype=np.float64), (n_queries,)
-        )
-        if np.any(radii < 0) or not np.all(np.isfinite(radii)):
-            raise SearchError("radius must be non-negative and finite")
-        batch_id = next_query_id()
-        try:
-            # Serialized against maintenance sweeps, like knn_batch.
-            with tree._write_lock:
-                if tree._flight_recorder is not None:
-                    result = observe_batch(
-                        tree._flight_recorder, tree, "range-batch", batch_id,
-                        lambda: self._range_batch_impl(queries, radii),
-                    )
-                else:
-                    result = self._range_batch_impl(queries, radii)
-        except StorageError as exc:
-            raise_query_error(exc, tree, batch_id)
-        self._observe_batch(result.stats, result.queries, k=None)
-        return result
-
-    def _range_batch_impl(
-        self, queries: np.ndarray, radii: np.ndarray
-    ) -> BatchResult:
-        """The range pipeline without batch instruments, so that
-        ``range_search`` can run a single query as a one-query batch."""
-        tree = self.tree
-        n_queries = queries.shape[0]
-        before = io_snapshot(tree)
-        pool_before = self._pool_counters()
-        fault_before = self._fault_counters()
-        metric = tree.metric
-        tracer = active_tracer()
-
-        with obs_span(
-            "directory-scan", disk=tree.disk, pages=tree.n_pages
-        ):
-            tree._charge_directory_scan()
-            dmin = mindist_matrix(
-                queries, tree._lowers, tree._uppers, metric
-            )
-        with obs_span("schedule", disk=tree.disk, queries=n_queries):
-            cand_mask = dmin <= radii[:, None]
-
-        cache = PageDecodeCache(tree)
-        # "fetch" and "decode" spans open inside load().
-        cache.load(np.flatnonzero(cand_mask.any(axis=0)))
-
-        arena = None
-        try:
-            with obs_span("refine", disk=tree.disk) as refine_span:
-                table = cache.page_table()
-                lost = (
-                    frozenset(cache.lost_pages)
-                    if tree._fault_ctx is not None
-                    else frozenset()
-                )
                 counts = tree._counts
-                radii = np.ascontiguousarray(radii)
-                if self._ships_to_processes(n_queries):
-                    arena = SharedArena.create()
-                if arena is not None:
-                    queries_s = arena.put(queries)
-                    radii_s = arena.put(radii)
-                    cand_mask_s = arena.put(cand_mask)
-                    dmin_s = arena.put(dmin)
-                    counts_s = arena.put(counts)
-                    table_s = table.frozen(arena)
-                    arena.seal()
-                else:
-                    queries_s, radii_s = queries, radii
-                    cand_mask_s, dmin_s, counts_s = cand_mask, dmin, counts
-                    table_s = table
-                plan_task = RangePlanTask(
-                    queries=queries_s,
-                    radii=radii_s,
-                    cand_mask=cand_mask_s,
-                    lost=lost,
+                assemble_task = AssembleTask(
+                    queries=plan_task.queries,
                     metric=metric,
-                    table=table_s,
-                    trace=tracer is not None,
-                )
-                plans, plan_io = self._worker_pool.map_sharded(
-                    plan_range_shard, range(n_queries), task=plan_task
-                )
-                if tracer is not None:
-                    _stitch_worker_records(
-                        tracer, "plan",
-                        [plan.pop("spans", ()) for plan in plans],
-                    )
-                all_requests: set[tuple[int, int]] = set()
-                for plan in plans:
-                    all_requests.update(plan["refine"])
-
-                exact_store = ExactStore(tree)
-                points = exact_store.fetch_all(all_requests)
-                if refine_span is not None:
-                    refine_span.attrs["records"] = len(all_requests)
-
-                assemble_task = RangeAssembleTask(
-                    queries=queries_s,
-                    radii=radii_s,
-                    metric=metric,
-                    table=table_s,
+                    table=plan_task.table,
                     plans=plans,
                     points=points,
-                    counts=counts_s,
-                    dmin=dmin_s,
+                    lost_records=[
+                        tuple(
+                            LostPage(
+                                page=int(p),
+                                n_points=int(counts[p]),
+                                mindist=float(dmin[i, p]),
+                                maxdist=float(lost_maxdist[i, p]),
+                            )
+                            for p in plan["lost"]
+                        )
+                        for i, plan in enumerate(plans)
+                    ],
                     trace=tracer is not None,
+                    k=k,
+                    radii=plan_task.radii,
                 )
                 assembled, assemble_io = self._worker_pool.map_sharded(
-                    assemble_range_shard, range(n_queries),
+                    assemble_shard, range(n_queries),
                     task=assemble_task,
                 )
                 assembled = self._split_assemble_records(

@@ -7,9 +7,19 @@ This module holds the per-query phases as module-level functions whose
 inputs are plain data -- query rows, candidate masks and one
 :class:`PageTable` per batch -- with no ``IQTree``, ``BlockFile``, or
 cache object anywhere in the hot path.  That makes them shippable to
-*worker processes* (everything here pickles), which is what lets
-``QueryEngine(workers=N)`` scale on real cores instead of serializing
-on the GIL.
+*worker processes* (everything here pickles).  Processes have not paid
+off as measured: on a 2-core host, 64-query kNN batches took 192 ms
+per batch on two process workers against 180 ms on two thread workers
+(``docs/performance.md``, "Backend selection"); the large numpy passes
+release the GIL, so threads scale them without the shipping cost.
+
+kNN and range share one task type per phase (:class:`PlanTask`,
+:class:`AssembleTask`), each carrying its per-query parameter -- ``k``
+or the radius array -- and one shard entry point per phase
+(:func:`plan_shard`, :func:`assemble_shard`).  The only kind-specific
+code is the per-query bodies: :func:`plan_knn_query` /
+:func:`plan_range_query` and :func:`assemble_knn_query` /
+:func:`assemble_range_query`.
 
 The page table stacks every loaded page's per-point rows into a few
 contiguous arrays with page offsets (:class:`PageStack`): the cell
@@ -54,20 +64,15 @@ from repro.engine.shm import resolve
 from repro.engine.stats import QueryStats
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
 from repro.obs.tracing import SpanRecord, ledger_state
-from repro.storage.runtime_faults import LostPage
 
 __all__ = [
     "BatchQueryResult",
     "PageStack",
     "PageTable",
-    "KnnPlanTask",
-    "KnnAssembleTask",
-    "RangePlanTask",
-    "RangeAssembleTask",
-    "plan_knn_shard",
-    "plan_range_shard",
-    "assemble_knn_shard",
-    "assemble_range_shard",
+    "PlanTask",
+    "AssembleTask",
+    "plan_shard",
+    "assemble_shard",
 ]
 
 
@@ -280,133 +285,65 @@ class PageTable:
 
 
 @dataclass
-class KnnPlanTask:
-    """Inputs of the kNN candidate-bounding phase (phase 1)."""
+class PlanTask:
+    """Inputs of the candidate-bounding phase (phase 1).
+
+    The per-query parameter is ``k`` for a kNN batch, or ``radii``, the
+    ``(q,)`` radius array, for a range batch; the other stays ``None``.
+    """
 
     queries: object  # (q, d) array or ArrayRef
-    k: int
     cand_mask: object  # (q, pages) bool array or ArrayRef
     lost: frozenset  # pages the coordinator could not read
     metric: object  # repro.geometry.metrics.Metric (stateless)
     table: PageTable
     trace: bool = False  # emit per-query SpanRecords
+    k: int | None = None
+    radii: object = None  # (q,) array or ArrayRef
 
-    def frozen(self, arena) -> "KnnPlanTask":
+    def frozen(self, arena) -> "PlanTask":
         return replace(
             self,
             queries=_freeze(self.queries, arena),
             cand_mask=_freeze(self.cand_mask, arena),
+            radii=_freeze(self.radii, arena),
             table=self.table.frozen(arena),
         )
 
-    def resolved(self) -> "KnnPlanTask":
+    def resolved(self) -> "PlanTask":
         return replace(
             self,
             queries=resolve(self.queries),
             cand_mask=resolve(self.cand_mask),
+            radii=resolve(self.radii),
             table=self.table.resolved(),
         )
 
 
 @dataclass
-class KnnAssembleTask:
-    """Inputs of the kNN result-assembly phase (phase 3)."""
+class AssembleTask:
+    """Inputs of the result-assembly phase (phase 3).
+
+    The engine builds it from the plan task after the plan phase, so
+    its arrays are the plan task's, already frozen when shipped.
+    """
 
     queries: object
-    k: int
     metric: object
     table: PageTable
     plans: list  # phase-1 output, one dict per query
     points: dict  # (page, local) -> (coords, id); fetched records
-    counts: object  # per-page point counts (LostPage reporting)
-    dmin: object  # (q, pages) directory mindist matrix
-    dmax: object  # (q, pages) directory maxdist matrix
+    lost_records: list  # per query, a tuple of LostPage records
     trace: bool = False  # emit per-query SpanRecords
+    k: int | None = None
+    radii: object = None
 
-    def frozen(self, arena) -> "KnnAssembleTask":
-        return replace(
-            self,
-            queries=_freeze(self.queries, arena),
-            table=self.table.frozen(arena),
-            counts=_freeze(self.counts, arena),
-            dmin=_freeze(self.dmin, arena),
-            dmax=_freeze(self.dmax, arena),
-        )
-
-    def resolved(self) -> "KnnAssembleTask":
-        return replace(
-            self,
-            queries=resolve(self.queries),
-            table=self.table.resolved(),
-            counts=resolve(self.counts),
-            dmin=resolve(self.dmin),
-            dmax=resolve(self.dmax),
-        )
-
-
-@dataclass
-class RangePlanTask:
-    """Inputs of the range candidate-classification phase."""
-
-    queries: object
-    radii: object  # (q,) array or ArrayRef
-    cand_mask: object
-    lost: frozenset
-    metric: object
-    table: PageTable
-    trace: bool = False  # emit per-query SpanRecords
-
-    def frozen(self, arena) -> "RangePlanTask":
-        return replace(
-            self,
-            queries=_freeze(self.queries, arena),
-            radii=_freeze(self.radii, arena),
-            cand_mask=_freeze(self.cand_mask, arena),
-            table=self.table.frozen(arena),
-        )
-
-    def resolved(self) -> "RangePlanTask":
-        return replace(
-            self,
-            queries=resolve(self.queries),
-            radii=resolve(self.radii),
-            cand_mask=resolve(self.cand_mask),
-            table=self.table.resolved(),
-        )
-
-
-@dataclass
-class RangeAssembleTask:
-    """Inputs of the range result-assembly phase."""
-
-    queries: object
-    radii: object
-    metric: object
-    table: PageTable
-    plans: list
-    points: dict
-    counts: object
-    dmin: object
-    trace: bool = False  # emit per-query SpanRecords
-
-    def frozen(self, arena) -> "RangeAssembleTask":
-        return replace(
-            self,
-            queries=_freeze(self.queries, arena),
-            radii=_freeze(self.radii, arena),
-            table=self.table.frozen(arena),
-            counts=_freeze(self.counts, arena),
-            dmin=_freeze(self.dmin, arena),
-        )
-
-    def resolved(self) -> "RangeAssembleTask":
+    def resolved(self) -> "AssembleTask":
         return replace(
             self,
             queries=resolve(self.queries),
             radii=resolve(self.radii),
             table=self.table.resolved(),
-            counts=resolve(self.counts),
-            dmin=resolve(self.dmin),
         )
 
 
@@ -771,51 +708,78 @@ def assemble_result(
 # ``(result, n_intervals, records)`` triples.  The coordinator pops
 # them off and stitches them into the ambient tracer in query order.
 
-def plan_knn_shard(task: KnnPlanTask, indices, _ledger) -> list[dict]:
+def assemble_knn_query(query, k, plan, points, table, metric):
+    """kNN answer of one query: the k best of its exact distances and
+    its refined points; an unreadable record competes at its cell
+    maxdist and gets an interval."""
+    best = KBest(k)
+    intervals: dict[int, tuple[float, float]] = {}
+    best.offer_many(plan["exact_dists"], plan["exact_ids"])
+    dist_of = refined_distances(query, plan["refine"], points, metric)
+    for key in plan["refine"]:
+        if key in dist_of:
+            best.offer(dist_of[key], points[key][1])
+        else:
+            pid, lo, hi = interval_for(query, key, table, metric)
+            intervals[pid] = (lo, hi)
+            best.offer(hi, pid)
+    ids, dists = best.sorted_results()
+    return ids, dists, intervals
+
+
+def assemble_range_query(query, radius, plan, points, table, metric):
+    """Range answer of one query: its exact points inside the radius
+    and its refined points inside it, sorted by distance."""
+    intervals: dict[int, tuple[float, float]] = {}
+    ref_ids: list[int] = []
+    ref_dists: list[float] = []
+    dist_of = refined_distances(query, plan["refine"], points, metric)
+    for key in plan["refine"]:
+        if key in dist_of:
+            dist = dist_of[key]
+            if dist <= radius:
+                ref_ids.append(points[key][1])
+                ref_dists.append(dist)
+        else:
+            # Unreadable record whose cell overlaps the ball: include
+            # it conservatively at its cell maxdist, flagged uncertain.
+            pid, lo, hi = interval_for(query, key, table, metric)
+            intervals[pid] = (lo, hi)
+            ref_ids.append(pid)
+            ref_dists.append(hi)
+    found_ids = np.concatenate(
+        [plan["exact_ids"], np.array(ref_ids, dtype=np.int64)]
+    )
+    found_dists = np.concatenate(
+        [plan["exact_dists"], np.array(ref_dists, dtype=np.float64)]
+    )
+    order = np.argsort(found_dists, kind="stable")
+    return found_ids[order], found_dists[order], intervals
+
+
+def _per_query(task):
+    """The per-query plan and assemble bodies of ``task``'s kind, and
+    the parameter they take for query ``i``: ``k`` for kNN, the
+    query's radius for range."""
+    if task.radii is None:
+        return plan_knn_query, assemble_knn_query, lambda i: task.k
+    radii = task.radii
+    return (
+        plan_range_query, assemble_range_query, lambda i: float(radii[i])
+    )
+
+
+def plan_shard(task: PlanTask, indices, _ledger) -> list[dict]:
     """Phase 1 (pure): per-query point-level bounds + refinement picks."""
     task = task.resolved()
+    plan_query, _assemble, param = _per_query(task)
     scratch = _Scratch(task.table.quant)
     out = []
     for i in indices:
         before = ledger_state(_ledger) if task.trace else None
         cand, lost = _candidates(task.cand_mask[i], task.lost)
-        plan = plan_knn_query(
-            task.queries[i], task.k, cand, task.table, task.metric, scratch
-        )
-        plan["lost"] = lost
-        plan["candidate_pages"] = int(np.count_nonzero(task.cand_mask[i]))
-        if task.trace:
-            plan["spans"] = (
-                SpanRecord.capture(
-                    "plan-query",
-                    _ledger,
-                    before,
-                    query=int(i),
-                    pages=plan["candidate_pages"],
-                    points=plan["candidate_points"],
-                    bounded=plan["bounded"],
-                    refine=len(plan["refine"]),
-                    lost=len(lost),
-                ),
-            )
-        out.append(plan)
-    return out
-
-
-def plan_range_shard(task: RangePlanTask, indices, _ledger) -> list[dict]:
-    """Phase 1 (pure): per-query candidate classification."""
-    task = task.resolved()
-    scratch = _Scratch(task.table.quant)
-    out = []
-    for i in indices:
-        before = ledger_state(_ledger) if task.trace else None
-        cand, lost = _candidates(task.cand_mask[i], task.lost)
-        plan = plan_range_query(
-            task.queries[i],
-            float(task.radii[i]),
-            cand,
-            task.table,
-            task.metric,
+        plan = plan_query(
+            task.queries[i], param(i), cand, task.table, task.metric,
             scratch,
         )
         plan["lost"] = lost
@@ -838,119 +802,25 @@ def plan_range_shard(task: RangePlanTask, indices, _ledger) -> list[dict]:
     return out
 
 
-def assemble_knn_shard(task: KnnAssembleTask, indices, _ledger) -> list:
-    """Phase 3 (pure): per-query kNN result assembly.
+def assemble_shard(task: AssembleTask, indices, _ledger) -> list:
+    """Phase 3 (pure): per-query result assembly.
 
     Returns ``(result, n_intervals)`` pairs; the coordinator applies
     the degraded-mode side effects in query order afterwards.
     """
     task = task.resolved()
+    _plan, assemble_query, param = _per_query(task)
     out = []
     for i in indices:
         before = ledger_state(_ledger) if task.trace else None
         plan = task.plans[i]
-        best = KBest(task.k)
-        intervals: dict[int, tuple[float, float]] = {}
-        best.offer_many(plan["exact_dists"], plan["exact_ids"])
-        dist_of = refined_distances(
-            task.queries[i], plan["refine"], task.points, task.metric
+        ids, dists, intervals = assemble_query(
+            task.queries[i], param(i), plan, task.points, task.table,
+            task.metric,
         )
-        for key in plan["refine"]:
-            if key in dist_of:
-                best.offer(dist_of[key], task.points[key][1])
-            else:
-                pid, lo, hi = interval_for(
-                    task.queries[i], key, task.table, task.metric
-                )
-                intervals[pid] = (lo, hi)
-                best.offer(hi, pid)
-        ids, dists = best.sorted_results()
-        lost_records = tuple(
-            LostPage(
-                page=int(p),
-                n_points=int(task.counts[p]),
-                mindist=float(task.dmin[i, p]),
-                maxdist=float(task.dmax[i, p]),
-            )
-            for p in plan["lost"]
-        )
+        lost_records = task.lost_records[i]
         result = assemble_result(
             ids, dists, intervals, lost_records,
-            QueryStats(
-                candidate_pages=plan["candidate_pages"],
-                candidate_points=plan["candidate_points"],
-                refinements=len(plan["refine"]),
-            ),
-        )
-        if task.trace:
-            record = SpanRecord.capture(
-                "assemble-query",
-                _ledger,
-                before,
-                query=int(i),
-                refine=len(plan["refine"]),
-                intervals=len(intervals),
-                lost=len(lost_records),
-            )
-            out.append((result, len(intervals), (record,)))
-        else:
-            out.append((result, len(intervals)))
-    return out
-
-
-def assemble_range_shard(task: RangeAssembleTask, indices, _ledger) -> list:
-    """Phase 3 (pure): per-query range result assembly."""
-    task = task.resolved()
-    out = []
-    for i in indices:
-        before = ledger_state(_ledger) if task.trace else None
-        plan = task.plans[i]
-        intervals: dict[int, tuple[float, float]] = {}
-        ref_ids: list[int] = []
-        ref_dists: list[float] = []
-        dist_of = refined_distances(
-            task.queries[i], plan["refine"], task.points, task.metric
-        )
-        radius = float(task.radii[i])
-        for key in plan["refine"]:
-            if key in dist_of:
-                dist = dist_of[key]
-                if dist <= radius:
-                    ref_ids.append(task.points[key][1])
-                    ref_dists.append(dist)
-            else:
-                # Unreadable record whose cell overlaps the ball:
-                # include it conservatively at its cell maxdist,
-                # flagged uncertain.
-                pid, lo, hi = interval_for(
-                    task.queries[i], key, task.table, task.metric
-                )
-                intervals[pid] = (lo, hi)
-                ref_ids.append(pid)
-                ref_dists.append(hi)
-        found_ids = np.concatenate(
-            [plan["exact_ids"], np.array(ref_ids, dtype=np.int64)]
-        )
-        found_dists = np.concatenate(
-            [plan["exact_dists"], np.array(ref_dists, dtype=np.float64)]
-        )
-        order = np.argsort(found_dists, kind="stable")
-        # A lost page may hold any number of in-range points; its
-        # contribution cannot be bounded.
-        lost_records = tuple(
-            LostPage(
-                page=int(p),
-                n_points=int(task.counts[p]),
-                mindist=float(task.dmin[i, p]),
-                maxdist=float("inf"),
-            )
-            for p in plan["lost"]
-        )
-        result = assemble_result(
-            found_ids[order],
-            found_dists[order],
-            intervals,
-            lost_records,
             QueryStats(
                 candidate_pages=plan["candidate_pages"],
                 candidate_points=plan["candidate_points"],

@@ -63,7 +63,9 @@ import numpy as np
 
 from repro.core.search import (
     certain_mask,
+    checked_k,
     checked_queries,
+    checked_radii,
     next_query_id,
 )
 from repro.core.tree import IQTree
@@ -413,12 +415,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def knn_batch(self, queries: np.ndarray, k: int = 1) -> ShardedBatchResult:
         """Exact scatter-gather kNN, answers identical to one engine."""
-        if k < 1:
-            raise SearchError("k must be at least 1")
-        if k > self._n_rows:
-            raise SearchError(
-                f"k={k} exceeds the {self._n_rows} stored points"
-            )
+        k = checked_k(k, self._n_rows)
         queries = checked_queries(self.shards[0].tree, queries)
         if self._flight_recorder is not None:
             return observe_batch(
@@ -468,14 +465,7 @@ class ShardRouter:
     def range_batch(self, queries: np.ndarray, radius) -> ShardedBatchResult:
         """Scatter-gather range search; one shard-skip rule: distance."""
         queries = checked_queries(self.shards[0].tree, queries)
-        n_queries = queries.shape[0]
-        radii = np.ascontiguousarray(
-            np.broadcast_to(
-                np.asarray(radius, dtype=np.float64), (n_queries,)
-            )
-        )
-        if np.any(radii < 0) or not np.all(np.isfinite(radii)):
-            raise SearchError("radius must be non-negative and finite")
+        radii = checked_radii(radius, queries.shape[0])
         if self._flight_recorder is not None:
             return observe_batch(
                 self._flight_recorder, self, "range-batch",

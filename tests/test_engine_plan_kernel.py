@@ -28,12 +28,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.tree import IQTree
 from repro.engine import QueryEngine
 from repro.engine.kernels import (
-    KnnPlanTask,
     PageStack,
     PageTable,
-    RangePlanTask,
-    plan_knn_shard,
-    plan_range_shard,
+    PlanTask,
+    plan_shard,
 )
 from repro.engine.shm import SharedArena
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
@@ -242,7 +240,7 @@ class TestPlanKernelsMatchPerPageOracle:
             st.one_of(st.integers(1, max(1, n) + 2), st.just(max(1, n)))
         )
         shipped = data.draw(st.booleans())
-        task = KnnPlanTask(
+        task = PlanTask(
             queries=sc["queries"],
             k=k,
             cand_mask=sc["cand_mask"],
@@ -251,7 +249,7 @@ class TestPlanKernelsMatchPerPageOracle:
             table=stacked_table(sc),
         )
         plans = run_shard(
-            plan_knn_shard, task, len(sc["queries"]), shipped
+            plan_shard, task, len(sc["queries"]), shipped
         )
         for i, plan in enumerate(plans):
             pages = readable(sc["cand_mask"][i], sc["lost"])
@@ -277,7 +275,7 @@ class TestPlanKernelsMatchPerPageOracle:
                 )
             )
         )
-        task = RangePlanTask(
+        task = PlanTask(
             queries=sc["queries"],
             radii=radii,
             cand_mask=sc["cand_mask"],
@@ -286,7 +284,7 @@ class TestPlanKernelsMatchPerPageOracle:
             table=stacked_table(sc),
         )
         plans = run_shard(
-            plan_range_shard, task, len(sc["queries"]),
+            plan_shard, task, len(sc["queries"]),
             data.draw(st.booleans()),
         )
         for i, plan in enumerate(plans):
@@ -311,7 +309,7 @@ class TestPlanKernelsMatchPerPageOracle:
         table = stacked_table(sc)
         query = np.array([0.0])
         for k in (1, 2, 3, 4):
-            task = KnnPlanTask(
+            task = PlanTask(
                 queries=query[None, :],
                 k=k,
                 cand_mask=np.ones((1, 1), dtype=bool),
@@ -319,7 +317,7 @@ class TestPlanKernelsMatchPerPageOracle:
                 metric=EUCLIDEAN,
                 table=table,
             )
-            (plan,) = plan_knn_shard(task, range(1), None)
+            (plan,) = plan_shard(task, range(1), None)
             want = reference_knn(
                 query, k, np.array([0]), {}, sc["bounds"], EUCLIDEAN
             )

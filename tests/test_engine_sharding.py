@@ -450,7 +450,7 @@ class TestArenaLifecycle:
         import repro.engine.engine as engine_mod
 
         monkeypatch.setattr(
-            engine_mod, "plan_knn_shard", _boom_plan_shard
+            engine_mod, "plan_shard", _boom_plan_shard
         )
         before = arena_files()
         engine = QueryEngine(build_tree(data), workers=2, backend="process")
@@ -470,7 +470,7 @@ class TestArenaLifecycle:
         import repro.engine.engine as engine_mod
 
         monkeypatch.setattr(
-            engine_mod, "plan_knn_shard", _boom_plan_shard
+            engine_mod, "plan_shard", _boom_plan_shard
         )
         before = arena_files()
         router = ShardRouter(

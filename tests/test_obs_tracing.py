@@ -484,7 +484,7 @@ class TestDistributedAttribution:
         on the default inline/thread path -- which is exactly where
         the engine-side stitch check lives.
         """
-        real = engine_mod.plan_knn_shard
+        real = engine_mod.plan_shard
 
         def stripping(task, indices, ledger):
             plans = real(task, indices, ledger)
@@ -492,11 +492,30 @@ class TestDistributedAttribution:
                 plan.pop("spans", None)
             return plans
 
-        monkeypatch.setattr(engine_mod, "plan_knn_shard", stripping)
+        monkeypatch.setattr(engine_mod, "plan_shard", stripping)
         engine = tree.query_engine()
         with trace_query(engine):
             with pytest.raises(SearchError, match="span"):
                 engine.knn_batch(rng.random((2, 6)), k=2)
+
+    def test_missing_worker_spans_raise_on_range_batches(
+        self, tree, rng, monkeypatch
+    ):
+        """The same stitch check guards range batches: both kinds run
+        the one plan kernel through the one pipeline."""
+        real = engine_mod.plan_shard
+
+        def stripping(task, indices, ledger):
+            plans = real(task, indices, ledger)
+            for plan in plans:
+                plan.pop("spans", None)
+            return plans
+
+        monkeypatch.setattr(engine_mod, "plan_shard", stripping)
+        engine = tree.query_engine()
+        with trace_query(engine):
+            with pytest.raises(SearchError, match="span"):
+                engine.range_batch(rng.random((2, 6)), 0.3)
 
     def test_no_tracer_means_no_records_requested(self, tree, rng):
         """Workers only pay for span capture when a trace is active."""

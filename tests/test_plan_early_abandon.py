@@ -28,12 +28,10 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import kernels
 from repro.engine.kernels import (
     STAGE_DIMS,
-    KnnPlanTask,
     PageStack,
     PageTable,
-    RangePlanTask,
-    plan_knn_shard,
-    plan_range_shard,
+    PlanTask,
+    plan_shard,
 )
 from repro.engine.shm import SharedArena
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
@@ -151,7 +149,7 @@ def knn_task(queries, k, table, metric, cand_mask=None, lost=frozenset()):
             or [0]
         )
         cand_mask = np.ones((len(queries), n_pages), dtype=bool)
-    return KnnPlanTask(
+    return PlanTask(
         queries=queries, k=k, cand_mask=cand_mask, lost=lost,
         metric=metric, table=table,
     )
@@ -252,7 +250,7 @@ class TestAbandoningMatchesOnePass:
             sc["cand_mask"], sc["lost"],
         )
         plans = run_shard(
-            plan_knn_shard, task, len(sc["queries"]),
+            plan_shard, task, len(sc["queries"]),
             data.draw(st.booleans()),
         )
         for i, plan in enumerate(plans):
@@ -274,12 +272,12 @@ class TestAbandoningMatchesOnePass:
                 )
             )
         )
-        task = RangePlanTask(
+        task = PlanTask(
             queries=sc["queries"], radii=radii, cand_mask=sc["cand_mask"],
             lost=sc["lost"], metric=sc["metric"], table=sc["table"],
         )
         plans = run_shard(
-            plan_range_shard, task, len(sc["queries"]),
+            plan_shard, task, len(sc["queries"]),
             data.draw(st.booleans()),
         )
         for i, plan in enumerate(plans):
@@ -312,7 +310,7 @@ class TestPlantedBoundaries:
         table = make_table(dim, {}, quant)
         query = np.zeros((1, dim))
         for k in (1, 2, 3):
-            (plan,) = plan_knn_shard(
+            (plan,) = plan_shard(
                 knn_task(query, k, table, metric), range(1), None
             )
             want = one_pass_knn(query[0], k, np.array([0, 1]), table, metric)
@@ -340,15 +338,15 @@ class TestPlantedBoundaries:
         table = make_table(dim, {}, quant)
         query = np.zeros((1, dim))
         for k in (1, 2, 3):
-            (plan,) = plan_knn_shard(
+            (plan,) = plan_shard(
                 knn_task(query, k, table, metric), range(1), None
             )
             want = one_pass_knn(query[0], k, np.array([0, 1]), table, metric)
             assert_same_plan(plan, want)
         assert (1, 1) in plan["refine"]  # the exact tie at k = 2, 3
         radius = float(metric.distances(query[0], seed)[0])
-        (plan,) = plan_range_shard(
-            RangePlanTask(
+        (plan,) = plan_shard(
+            PlanTask(
                 queries=query, radii=np.array([radius]),
                 cand_mask=np.ones((1, 2), dtype=bool), lost=frozenset(),
                 metric=metric, table=table,
@@ -366,7 +364,7 @@ class TestPlantedBoundaries:
         table = make_table(1, {}, {0: (lo, lo + 0.5, np.arange(6))})
         query = np.array([[2.2]])
         for k in (5, 6, 7, 50):
-            (plan,) = plan_knn_shard(
+            (plan,) = plan_shard(
                 knn_task(query, k, table, EUCLIDEAN), range(1), None
             )
             assert_same_plan(
@@ -378,7 +376,7 @@ class TestPlantedBoundaries:
         empty = np.empty((0, 2))
         no_ids = np.empty(0, dtype=np.int64)
         table = make_table(2, {}, {0: (empty, empty, no_ids)})
-        (plan,) = plan_knn_shard(
+        (plan,) = plan_shard(
             knn_task(np.zeros((1, 2)), 1, table, EUCLIDEAN), range(1), None
         )
         assert plan["refine"] == [] and plan["bounded"] == 0
@@ -418,7 +416,7 @@ class TestAbandoningDropsRows:
 
         task = knn_task(queries, 10, table, metric)
         with mock.patch.object(kernels, "_abandon", spy):
-            plans = plan_knn_shard(task, range(len(queries)), None)
+            plans = plan_shard(task, range(len(queries)), None)
         assert len(kept_counts) == len(queries)
         n_rows = table.quant.offsets[-1]
         for i, plan in enumerate(plans):
@@ -441,7 +439,7 @@ class TestAbandoningDropsRows:
             quant[page] = (lo, lo + 0.01, np.arange(40 * page, 40 * page + 40))
         table = make_table(dim, {}, quant)
         queries = 20.0 + rng.random((3, dim))
-        plans = plan_knn_shard(
+        plans = plan_shard(
             knn_task(queries, 5, table, EUCLIDEAN), range(3), None
         )
         for i, plan in enumerate(plans):
@@ -455,8 +453,8 @@ class TestAbandoningDropsRows:
         table = uniform_table(rng)
         queries = rng.random((4, 16))
         radii = np.full(4, 0.6)
-        plans = plan_range_shard(
-            RangePlanTask(
+        plans = plan_shard(
+            PlanTask(
                 queries=queries, radii=radii,
                 cand_mask=np.ones((4, 16), dtype=bool), lost=frozenset(),
                 metric=EUCLIDEAN, table=table,
