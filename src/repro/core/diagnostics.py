@@ -71,25 +71,38 @@ class QueryExplanation:
 
 
 def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanation:
-    """Run an instrumented optimized-scheduler k-NN query.
+    """Run one instrumented optimized-scheduler k-NN query.
 
-    The query is executed twice: once normally to obtain the result and
-    I/O delta, and once with the scheduler instrumented to capture the
-    window decisions.  Both runs are deterministic and identical.
+    The search's page loader is hooked for the duration of the query:
+    each page it returns is the step's pivot or a speculative read of
+    the pivot's cost-balance window.  A decoded-cache hit is a step of
+    its own (no window is planned around it), so it counts as that
+    step's pivot.  Pages never loaded are pruned.
     """
+    from repro.core import search as search_mod
+
     tree._ensure_clean()
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (tree.dim,):
         raise SearchError(
             f"query must have shape ({tree.dim},), got {query.shape}"
         )
-    tree.disk.park()
-    result = tree.nearest(query, k=k, scheduler="optimized")
+    recorded: dict[int, tuple[str, int]] = {}
+    original = search_mod._load_pages
 
-    # Replay: recompute the decision stream from the directory state.
-    # The replay mirrors the search loop, classifying pages instead of
-    # decoding them (cheap: no byte-level work).
-    from repro.core import search as search_mod
+    def recording_load_pages(t, q, pivot, *args, **kwargs):
+        handles, lost = original(t, q, pivot, *args, **kwargs)
+        for handle in handles:
+            outcome = "pivot" if handle.index == pivot else "speculative"
+            recorded.setdefault(handle.index, (outcome, len(recorded)))
+        return handles, lost
+
+    search_mod._load_pages = recording_load_pages
+    try:
+        tree.disk.park()
+        result = tree.nearest(query, k=k, scheduler="optimized")
+    finally:
+        search_mod._load_pages = original
 
     page_mindists = mindist_to_boxes(
         query, tree._lowers, tree._uppers, tree.metric
@@ -102,50 +115,14 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
         refinements=result.refinements,
         elapsed=result.io.elapsed,
     )
-
-    # Re-run the actual search with a recording hook on _read_window.
-    recorded: dict[int, tuple[str, float, int]] = {}
-    order_counter = [0]
-    original = search_mod._read_window
-
-    def recording_read_window(t, q, pivot, mindists, *args, **kwargs):
-        handles = original(t, q, pivot, mindists, *args, **kwargs)
-        for handle in handles:
-            outcome = "pivot" if handle.index == pivot else "speculative"
-            if handle.index not in recorded:
-                recorded[handle.index] = (
-                    outcome,
-                    float(mindists[handle.index]),
-                    order_counter[0],
-                )
-                order_counter[0] += 1
-        return handles
-
-    search_mod._read_window = recording_read_window
-    try:
-        tree.disk.park()
-        replay = tree.nearest(query, k=k, scheduler="optimized")
-    finally:
-        search_mod._read_window = original
-    assert np.array_equal(replay.ids, result.ids)
-
     for page in range(tree.n_pages):
-        if page in recorded:
-            outcome, mindist, order = recorded[page]
-            explanation.decisions.append(
-                PageDecision(
-                    page=page,
-                    mindist=mindist,
-                    outcome=outcome,
-                    order=order,
-                )
+        outcome, order = recorded.get(page, ("pruned", None))
+        explanation.decisions.append(
+            PageDecision(
+                page=page,
+                mindist=float(page_mindists[page]),
+                outcome=outcome,
+                order=order,
             )
-        else:
-            explanation.decisions.append(
-                PageDecision(
-                    page=page,
-                    mindist=float(page_mindists[page]),
-                    outcome="pruned",
-                )
-            )
+        )
     return explanation

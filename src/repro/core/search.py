@@ -52,12 +52,7 @@ from repro.costmodel.access_probability import (
 from repro.core.tree import ExactStore, IQTree, PageHandle
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
 from repro.obs.drift import MONITOR as _DRIFT
-from repro.obs.instruments import (
-    DEGRADED_RESULTS,
-    LOST_PAGES,
-    QUERY_SECONDS,
-    REGISTRY,
-)
+from repro.obs.instruments import QUERY_SECONDS, REGISTRY
 from repro.storage.disk import IOStats
 from repro.storage.runtime_faults import LostPage, fault_address
 from repro.storage.scheduler import cost_balance_window
@@ -69,7 +64,9 @@ __all__ = [
     "nearest_neighbors",
     "range_search",
     "browse_by_distance",
+    "cell_interval",
     "certain_mask",
+    "degraded_fields",
     "checked_query",
     "checked_queries",
     "io_snapshot",
@@ -374,7 +371,6 @@ def _run_single(tree: IQTree, kind: str, run):
 def _nearest_impl(
     tree: IQTree, query: np.ndarray, k: int, scheduler: str
 ) -> NNResult:
-    ctx = tree._fault_ctx
     io_before = io_snapshot(tree)
     tree._charge_directory_scan()
 
@@ -388,37 +384,11 @@ def _nearest_impl(
     exact = ExactStore(tree)
     pages_read = 0
 
-    # Degraded-mode state; stays empty on the pristine path.
+    # Degraded-mode state; stays empty without a fault context.
     intervals: dict[int, tuple[float, float]] = {}
     lost_pages: list[LostPage] = []
-    handles_by_page: dict[int, PageHandle] = {}
-    quarantined_local: set[int] = (
-        set(ctx.quarantine.local_indices(tree._quant_file))
-        if ctx is not None
-        else set()
-    )
-
-    def lose_page(page: int) -> None:
-        """Record a second-level page as unreadable (partition lost)."""
-        processed[page] = True
-        lost_pages.append(
-            LostPage(
-                page=int(page),
-                n_points=int(tree._counts[page]),
-                mindist=float(page_mindists[page]),
-                maxdist=float(
-                    maxdist_to_boxes(
-                        query,
-                        tree._lowers[page : page + 1],
-                        tree._uppers[page : page + 1],
-                        metric,
-                    )[0]
-                ),
-            )
-        )
-        ctx.lost_pages += 1
-        if REGISTRY.enabled:
-            LOST_PAGES.inc()
+    quarantined = _quarantined_pages(tree)
+    quant_handles: dict[int, PageHandle] = {}
 
     ties = _Ties(n_pages)
     heap = _page_entries(page_mindists)
@@ -426,54 +396,32 @@ def _nearest_impl(
     while heap and heap[0][0] <= best.bound():
         _dist, _t, kind, page, local, _run, _pos = _pop(heap)
         if kind == _POINT:
-            if ctx is None:
-                coords, pid = exact.fetch(page, local)
-                best.offer(metric.distance(query, coords), pid)
-            else:
-                _refine_degraded(
-                    tree, ctx, exact, query, page, local,
-                    best, intervals, handles_by_page,
-                )
+            _refine(
+                tree, exact, query, page, local, best, intervals,
+                quant_handles,
+            )
             continue
         if processed[page]:
             continue
-        cached = tree._cached_handle(page)
-        if cached is not None:
-            # Decoded-cache hit: the pivot costs no I/O at all, so no
-            # speculative window is planned around it.
-            handles = [cached]
-        elif ctx is None:
-            if scheduler == "standard":
-                handles = [tree._read_page(page)]
-            else:
-                handles = _read_window(
-                    tree, query, page, page_mindists, processed,
-                    best.bound(), k,
-                )
-        else:
-            if page in quarantined_local:
-                lose_page(page)
-                continue
-            handles = _load_pages_degraded(
-                tree, ctx, query, page, page_mindists, processed,
-                best.bound(), k, scheduler, quarantined_local, lose_page,
-            )
+        handles, lost = _load_pages(
+            tree, query, page, page_mindists, processed, best.bound(), k,
+            scheduler, quarantined,
+        )
+        for j in lost:
+            processed[j] = True
+            lost_pages.append(_lost_page(tree, query, j, page_mindists))
         for handle in handles:
             processed[handle.index] = True
             pages_read += 1
-            if ctx is not None and handle.codes is not None:
-                handles_by_page[handle.index] = handle
+            if handle.codes is not None:
+                quant_handles[handle.index] = handle
             _process_page(tree, query, handle, best, heap, ties)
 
     ids, dists = best.sorted_results()
     degraded = bool(intervals or lost_pages)
-    certain = None
-    result_intervals = None
+    certain, result_intervals = degraded_fields(ids, intervals, degraded)
     if degraded:
-        certain = certain_mask(ids, intervals)
-        result_intervals = {
-            pid: intervals[pid] for pid in ids.tolist() if pid in intervals
-        }
+        tree._fault_ctx.count_degraded(len(intervals), len(lost_pages))
     io_after = io_snapshot(tree)
     result = NNResult(
         ids=ids,
@@ -664,29 +612,8 @@ def _plan_window(
     return first, last, to_process
 
 
-def _read_window(
+def _load_pages(
     tree: IQTree,
-    query: np.ndarray,
-    pivot: int,
-    page_mindists: np.ndarray,
-    processed: np.ndarray,
-    bound: float,
-    k: int = 1,
-) -> list[PageHandle]:
-    """Plan and execute one cost-balance page fetch (pristine path)."""
-    first, last, to_process = _plan_window(
-        tree, query, pivot, page_mindists, processed, bound, k
-    )
-    payloads = tree._read_page_run(first, last, wanted=len(to_process))
-    return [
-        tree._decode_page_payload(j, payloads[j - first])
-        for j in to_process
-    ]
-
-
-def _load_pages_degraded(
-    tree: IQTree,
-    ctx,
     query: np.ndarray,
     pivot: int,
     page_mindists: np.ndarray,
@@ -694,99 +621,152 @@ def _load_pages_degraded(
     bound: float,
     k: int,
     scheduler: str,
-    quarantined_local: set[int],
-    lose_page,
-) -> list[PageHandle]:
-    """Load a pivot's pages under the fault context.
+    quarantined: set[int],
+) -> tuple[list[PageHandle], list[int]]:
+    """Load a pivot page and the pages read with it.
 
-    The optimized scheduler first tries the planned sequential window
-    (quarantined pages already split it); if the transfer itself faults
-    out its retries, the wanted pages are re-read one by one so a single
-    dead block costs exactly one partition, not the whole window.
-    Unreadable pages are reported through ``lose_page`` and
-    ``quarantined_local`` is kept in sync with the context's quarantine.
+    A decoded-cache hit costs no I/O, so no window is planned around
+    it.  Otherwise the standard scheduler reads the pivot alone and the
+    optimized one the cost-balance window around it, which quarantined
+    pages split.  Under a fault context every read runs under its
+    retry policy, and a window whose transfer faults out is re-read
+    page by page, so a dead block costs one partition, not the whole
+    window.  Returns ``(handles, lost)``: the decoded pages and the
+    pages that could not be read; ``quarantined`` (the quarantined
+    quantized-level blocks) is kept in sync with the context.
     """
-    if scheduler == "standard":
-        to_process = [pivot]
-    else:
+    cached = tree._cached_handle(pivot)
+    if cached is not None:
+        return [cached], []
+    if pivot in quarantined:
+        return [], [pivot]
+    to_process = [pivot]
+    if scheduler == "optimized":
         first, last, to_process = _plan_window(
             tree, query, pivot, page_mindists, processed, bound, k,
-            forbidden=frozenset(quarantined_local),
+            forbidden=frozenset(quarantined),
         )
         try:
-            payloads = ctx.run(
+            payloads = _guarded(
+                tree,
                 lambda: tree._read_page_run(
                     first, last, wanted=len(to_process)
                 ),
-                tree.disk,
             )
             return [
                 tree._decode_page_payload(j, payloads[j - first])
                 for j in to_process
-            ]
+            ], []
         except (ReadFaultError, IntegrityError) as exc:
-            if fault_address(exc) is None:
+            if not _recoverable(tree, exc):
                 raise
-            quarantined_local.update(
-                ctx.quarantine.local_indices(tree._quant_file)
-            )
+            quarantined |= _quarantined_pages(tree)
     handles: list[PageHandle] = []
+    lost: list[int] = []
     for j in to_process:
-        if j in quarantined_local:
-            lose_page(j)
-            continue
-        try:
-            handles.append(
-                ctx.run(lambda j=j: tree._read_page(j), tree.disk)
-            )
-        except (ReadFaultError, IntegrityError) as exc:
-            if fault_address(exc) is None:
-                raise
-            quarantined_local.update(
-                ctx.quarantine.local_indices(tree._quant_file)
-            )
-            lose_page(j)
-    return handles
+        if j not in quarantined:
+            try:
+                handles.append(
+                    _guarded(tree, lambda j=j: tree._read_page(j))
+                )
+                continue
+            except (ReadFaultError, IntegrityError) as exc:
+                if not _recoverable(tree, exc):
+                    raise
+                quarantined |= _quarantined_pages(tree)
+        lost.append(j)
+    return handles, lost
 
 
-def _refine_degraded(
+def _refine(
     tree: IQTree,
-    ctx,
     exact: ExactStore,
     query: np.ndarray,
     page: int,
     local: int,
     best: "KBest",
     intervals: dict[int, tuple[float, float]],
-    handles_by_page: dict[int, PageHandle],
+    quant_handles: dict[int, PageHandle],
 ) -> None:
-    """Refine one point, falling back to its cell interval on failure.
+    """Offer one point at its exact distance (third-level look-up).
 
-    The fallback offers the point at its cell *maxdist* -- a sound upper
-    bound on the true distance, so KBest pruning stays conservative --
-    and records the full ``[mindist, maxdist]`` interval, which provably
-    contains the exact distance (grid-cell containment, paper Section
-    3.2).
+    If its record is unreadable under a fault context, the point is
+    offered at its cell *maxdist* -- a sound upper bound on the true
+    distance, so KBest pruning stays conservative -- and its cell
+    interval is recorded (see :func:`cell_interval`).
     """
     metric = tree.metric
     try:
         coords, pid = exact.fetch(page, local)
     except (ReadFaultError, IntegrityError) as exc:
-        if fault_address(exc) is None:
+        if not _recoverable(tree, exc):
             raise
-        handle = handles_by_page[page]
-        quantizer = tree._codec_view(page, handle)
-        code = handle.codes[local : local + 1]
-        lo = float(quantizer.cell_mindist(query, code, metric)[0])
-        hi = float(quantizer.cell_maxdist(query, code, metric)[0])
+        handle = quant_handles[page]
+        lower, upper = tree._codec_view(page, handle).cell_bounds(
+            handle.codes[local : local + 1]
+        )
+        lo, hi = cell_interval(query, lower, upper, metric)
         pid = int(tree._part_ids[page][local])
         best.offer(hi, pid)
         intervals[pid] = (lo, hi)
-        ctx.degraded_results += 1
-        if REGISTRY.enabled:
-            DEGRADED_RESULTS.inc()
         return
     best.offer(metric.distance(query, coords), pid)
+
+
+def _guarded(tree: IQTree, read):
+    """Run one timed read, under the fault context's retry policy when
+    one is attached."""
+    ctx = tree._fault_ctx
+    return read() if ctx is None else ctx.run(read, tree.disk)
+
+
+def _recoverable(tree: IQTree, exc: StorageError) -> bool:
+    """Whether a query degrades past ``exc`` instead of aborting: only
+    under a fault context, and only for a read fault at a known
+    address."""
+    return tree._fault_ctx is not None and fault_address(exc) is not None
+
+
+def _quarantined_pages(tree: IQTree) -> set[int]:
+    """Quantized-level pages the fault context has quarantined."""
+    ctx = tree._fault_ctx
+    if ctx is None:
+        return set()
+    return set(ctx.quarantine.local_indices(tree._quant_file))
+
+
+def _lost_page(
+    tree: IQTree, query: np.ndarray, page: int, page_mindists: np.ndarray
+) -> LostPage:
+    """Report an unreadable second-level page (partition lost)."""
+    return LostPage(
+        page=int(page),
+        n_points=int(tree._counts[page]),
+        mindist=float(page_mindists[page]),
+        maxdist=float(
+            maxdist_to_boxes(
+                query,
+                tree._lowers[page : page + 1],
+                tree._uppers[page : page + 1],
+                tree.metric,
+            )[0]
+        ),
+    )
+
+
+def cell_interval(
+    query: np.ndarray, lower: np.ndarray, upper: np.ndarray, metric
+) -> tuple[float, float]:
+    """``(mindist, maxdist)`` of one point's cell box, ``(1, d)`` each.
+
+    The interval provably contains the point's exact distance (cell
+    containment, paper Section 3.2), and ``maxdist`` is a sound
+    conservative ranking distance.  Bit-equal to the codecs'
+    ``cell_mindist``/``cell_maxdist`` of the same cell.
+    """
+    lo = float(mindist_to_boxes(query, lower, upper, metric)[0])
+    hi = float(maxdist_to_boxes(query, lower, upper, metric)[0])
+    return lo, hi
 
 
 def certain_mask(
@@ -802,6 +782,19 @@ def certain_mask(
     )
     return ~np.isin(ids, uncertain)
 
+
+def degraded_fields(
+    ids: np.ndarray, intervals: dict[int, tuple[float, float]],
+    degraded: bool,
+) -> tuple[np.ndarray | None, dict[int, tuple[float, float]] | None]:
+    """``(certain, intervals)`` of one answer: ``(None, None)`` unless
+    it is ``degraded``; otherwise the exactness mask aligned with
+    ``ids`` and the intervals of the returned ids that carry one."""
+    if not degraded:
+        return None, None
+    return certain_mask(ids, intervals), {
+        pid: intervals[pid] for pid in ids.tolist() if pid in intervals
+    }
 
 
 def checked_query(tree: IQTree, query) -> np.ndarray:

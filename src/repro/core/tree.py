@@ -45,7 +45,9 @@ from repro.storage.blockfile import BlockFile
 from repro.storage.disk import SimulatedDisk
 from repro.storage import serializer
 
-__all__ = ["IQTree", "canonicalize", "PageHandle", "ExactStore"]
+__all__ = [
+    "IQTree", "canonicalize", "PageHandle", "ExactStore", "decode_page",
+]
 
 
 def canonicalize(data: np.ndarray) -> np.ndarray:
@@ -64,6 +66,22 @@ class PageHandle:
     ids: np.ndarray | None  # inline ids when bits = 32
     codec: int = 0  # page codec id (0 = grid, 1 = per-page PQ)
     aux: object | None = None  # codec side data (PQView for PQ pages)
+
+
+def decode_page(page: int, payload: bytes, dim: int) -> PageHandle:
+    """Decode one quantized-level page payload into a :class:`PageHandle`
+    (exact pages: coordinates and ids; PQ pages: selectors and codebook
+    view; grid pages: cell codes) and count it in ``PAGES_DECODED``."""
+    contents, g, ids, aux = serializer.decode_quantized_page(payload, dim)
+    if REGISTRY.enabled:
+        PAGES_DECODED.inc(bits=g)
+    if g >= EXACT_BITS:
+        return PageHandle(page, g, None, contents, ids)
+    if aux is not None:
+        return PageHandle(
+            page, g, contents, None, None, codec=CODEC_PQ, aux=aux
+        )
+    return PageHandle(page, g, contents, None, None)
 
 
 class IQTree:
@@ -760,19 +778,9 @@ class IQTree:
             self._dir_file.read_run(0, self._dir_file.n_blocks)
 
     def _decode_page_payload(self, page: int, payload: bytes) -> PageHandle:
-        contents, g, ids, aux = serializer.decode_quantized_page(
-            payload, self.dim
-        )
-        if REGISTRY.enabled:
-            PAGES_DECODED.inc(bits=g)
-        if g >= EXACT_BITS:
-            handle = PageHandle(page, g, None, contents, ids)
-        elif aux is not None:
-            handle = PageHandle(
-                page, g, contents, None, None, codec=CODEC_PQ, aux=aux
-            )
-        else:
-            handle = PageHandle(page, g, contents, None, None)
+        """Decode one page read by a single-query search and publish it
+        to the decoded-page cache, if one is attached."""
+        handle = decode_page(page, payload, self.dim)
         if self._decoded_cache is not None:
             self._decoded_cache.put(self, page, handle)
         return handle

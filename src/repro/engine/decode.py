@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.tree import ExactStore, IQTree, PageHandle
+from repro.core.tree import ExactStore, IQTree, PageHandle, decode_page
 from repro.engine.kernels import PageStack, PageTable
 from repro.obs.instruments import PAGES_DECODED, REGISTRY
 from repro.obs.tracing import span as obs_span
@@ -188,19 +188,7 @@ class PageDecodeCache:
                 # Exact pages carry coords + ids and PQ pages carry a
                 # per-page codebook; both decode individually (a plain
                 # frombuffer / codebook gather, nothing to batch).
-                contents, g, ids, aux = serializer.decode_quantized_page(
-                    payload, dim
-                )
-                if aux is not None:
-                    self._handles[page] = PageHandle(
-                        page, g, contents, None, None, codec=codec, aux=aux
-                    )
-                else:
-                    self._handles[page] = PageHandle(
-                        page, g, None, contents, ids
-                    )
-                if REGISTRY.enabled:
-                    PAGES_DECODED.inc(bits=g)
+                self._handles[page] = decode_page(page, payload, dim)
             else:
                 body = payload[serializer.QUANT_PAGE_HEADER.size :]
                 grouped[bits].append((page, body, m))

@@ -92,8 +92,6 @@ from repro.obs.flight import observe_batch
 from repro.obs.instruments import (
     BATCH_QUERIES,
     BATCHES,
-    DEGRADED_RESULTS,
-    LOST_PAGES,
     QUERY_SECONDS,
     REGISTRY,
 )
@@ -568,18 +566,10 @@ class QueryEngine:
         scheduling -- of threads or of processes.
         """
         ctx = self.tree._fault_ctx
-        results = []
         for result, n_intervals in assembled:
-            if n_intervals:
-                ctx.degraded_results += n_intervals
-                if REGISTRY.enabled:
-                    DEGRADED_RESULTS.inc(n_intervals)
-            if result.lost_pages:
-                ctx.lost_pages += len(result.lost_pages)
-                if REGISTRY.enabled:
-                    LOST_PAGES.inc(len(result.lost_pages))
-            results.append(result)
-        return results
+            if result.degraded:
+                ctx.count_degraded(n_intervals, len(result.lost_pages))
+        return [result for result, _n in assembled]
 
     def _pool_counters(self) -> tuple[int, int]:
         if self.pool is None:

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.search import KBest, certain_mask
+from repro.core.search import KBest, cell_interval, degraded_fields
 from repro.engine.shm import resolve
 from repro.engine.stats import QueryStats
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
@@ -653,15 +653,8 @@ def interval_for(query, key, table, metric) -> tuple[int, float, float]:
     """
     row = table.quant.row(*key)
     lo_box, up_box, ids = table.quant.rows
-    lo = float(
-        mindist_to_boxes(
-            query, lo_box[row : row + 1], up_box[row : row + 1], metric
-        )[0]
-    )
-    hi = float(
-        maxdist_to_boxes(
-            query, lo_box[row : row + 1], up_box[row : row + 1], metric
-        )[0]
+    lo, hi = cell_interval(
+        query, lo_box[row : row + 1], up_box[row : row + 1], metric
     )
     return int(ids[row]), lo, hi
 
@@ -675,15 +668,7 @@ def assemble_result(
     coordinator, in query order.
     """
     degraded = bool(intervals or lost_records)
-    certain = None
-    result_intervals = None
-    if degraded:
-        certain = certain_mask(ids, intervals)
-        result_intervals = {
-            pid: intervals[pid]
-            for pid in ids.tolist()
-            if pid in intervals
-        }
+    certain, result_intervals = degraded_fields(ids, intervals, degraded)
     return BatchQueryResult(
         ids=ids,
         distances=dists,

@@ -62,10 +62,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.search import (
-    certain_mask,
     checked_k,
     checked_queries,
     checked_radii,
+    degraded_fields,
     next_query_id,
 )
 from repro.core.tree import IQTree
@@ -507,6 +507,18 @@ class ShardRouter:
     ) -> ShardedBatchResult:
         n_queries = queries.shape[0]
         n_shards = len(self.shards)
+        if n_queries == 0:
+            return ShardedBatchResult(
+                queries=[],
+                stats=BatchStats.merge_shards(
+                    [], n_queries=0, workers=self.workers
+                ),
+                routing=ShardBatchTrace(
+                    visit_order=[],
+                    contacted=np.zeros(0, dtype=np.int64),
+                    skipped=0,
+                ),
+            )
         # (q, s) best mindist of each shard, from the global directory.
         shard_best = np.empty((n_queries, n_shards))
         for s, shard in enumerate(self.shards):
@@ -687,15 +699,7 @@ class ShardRouter:
             dists = np.empty(0, dtype=np.float64)
         lost = tuple(sorted(merge.lost, key=lambda lp: lp.page))
         degraded = merge.degraded or bool(lost)
-        certain = None
-        intervals = None
-        if degraded:
-            certain = certain_mask(ids, merge.intervals)
-            intervals = {
-                pid: merge.intervals[pid]
-                for pid in ids.tolist()
-                if pid in merge.intervals
-            }
+        certain, intervals = degraded_fields(ids, merge.intervals, degraded)
         return BatchQueryResult(
             ids=ids,
             distances=dists,

@@ -46,8 +46,10 @@ from repro.exceptions import (
     TransientReadError,
 )
 from repro.obs.instruments import (
+    DEGRADED_RESULTS,
     FAULT_QUARANTINES,
     FAULT_RETRIES,
+    LOST_PAGES,
     READ_FAULTS,
     REGISTRY,
 )
@@ -290,6 +292,18 @@ class FaultContext:
             self.pool.invalidate(address)
         if REGISTRY.enabled:
             FAULT_QUARANTINES.inc()
+
+    def count_degraded(self, intervals: int, lost_pages: int) -> None:
+        """Count one answer's interval fallbacks and lost pages in the
+        session counters and the registry instruments."""
+        if intervals:
+            self.degraded_results += intervals
+            if REGISTRY.enabled:
+                DEGRADED_RESULTS.inc(intervals)
+        if lost_pages:
+            self.lost_pages += lost_pages
+            if REGISTRY.enabled:
+                LOST_PAGES.inc(lost_pages)
 
     def run(self, fn: Callable[[], "object"], disk):
         """Run one timed read under the retry policy.

@@ -66,3 +66,46 @@ class TestExplainQuery:
         # A query inside one cluster should never touch the others.
         explanation = explain_query(tree, np.full(6, 0.2))
         assert explanation.pages_pruned > 0
+
+
+class TestExplainUnderFaultsAndCache:
+    """Every page the search loads is classified, whichever way the
+    loader reaches it."""
+
+    @pytest.fixture
+    def big_tree(self):
+        points = np.random.default_rng(0).random((3000, 8))
+        return IQTree.build(points)
+
+    @staticmethod
+    def outcomes(explanation):
+        counts = {"pivot": 0, "speculative": 0, "pruned": 0}
+        for decision in explanation.decisions:
+            counts[decision.outcome] += 1
+        return counts
+
+    def test_fault_context_matches_plain_run(self, big_tree):
+        q = np.random.default_rng(1).random(8)
+        plain = explain_query(big_tree, q, k=3)
+        big_tree.use_fault_tolerance()
+        guarded = explain_query(big_tree, q, k=3)
+        assert self.outcomes(plain)["pivot"] >= 1
+        assert self.outcomes(guarded) == self.outcomes(plain)
+        assert [d.order for d in guarded.decisions] == [
+            d.order for d in plain.decisions
+        ]
+
+    def test_decoded_cache_hits_count_as_pivots(self, big_tree):
+        q = np.random.default_rng(1).random(8)
+        big_tree.use_decoded_cache(1 << 24)
+        cold = explain_query(big_tree, q, k=3)
+        assert self.outcomes(cold) == self.outcomes(
+            explain_query(IQTree.build(big_tree.points), q, k=3)
+        )
+        warm = explain_query(big_tree, q, k=3)
+        counts = self.outcomes(warm)
+        # Every page of the warm run is a cache hit: one pivot per step.
+        assert counts["speculative"] == 0
+        assert counts["pivot"] == big_tree.nearest(q, k=3).pages_read
+        assert counts["pivot"] + counts["pruned"] == big_tree.n_pages
+        assert np.array_equal(warm.result_ids, cold.result_ids)

@@ -7,6 +7,8 @@ it enters -- never a numpy error from deep inside a kernel, and never a
 silently wrong answer.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,22 @@ class TestRadiusCap:
         for w, g in zip(want, got):
             assert np.array_equal(w.ids, g.ids)
             assert np.array_equal(w.distances, g.distances)
+
+
+class TestEmptyBatch:
+    """A zero-query batch answers nothing, silently, on every batch
+    entry point (no numpy warning from a mean over zero queries)."""
+
+    @pytest.mark.parametrize("kind", ["knn", "range"])
+    def test_router_and_engine(self, tree, router, kind):
+        empty = np.empty((0, tree.dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for server in (router, QueryEngine(tree)):
+                if kind == "knn":
+                    result = server.knn_batch(empty, k=3)
+                else:
+                    result = server.range_batch(empty, 0.1)
+                assert len(result) == 0
+                assert result.stats.n_queries == 0
+        assert router.knn_batch(empty, k=3).routing.visit_order == []
