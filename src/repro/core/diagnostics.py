@@ -27,6 +27,7 @@ class PageDecision:
     page: int
     mindist: float
     outcome: str  # "pivot" | "speculative" | "pruned"
+    #: last probability the window planner computed (see explain_query)
     access_probability: float | None = None
     order: int | None = None  # processing order among read pages
 
@@ -78,6 +79,11 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
     the pivot's cost-balance window.  A decoded-cache hit is a step of
     its own (no window is planned around it), so it counts as that
     step's pivot.  Pages never loaded are pruned.
+
+    A speculative or pruned page carries the access probability the
+    window planner last computed for it while it was still pending
+    (for a speculative page, in the window that read it); a page no
+    window examined carries ``None``, as does every pivot.
     """
     from repro.core import search as search_mod
 
@@ -88,21 +94,30 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
             f"query must have shape ({tree.dim},), got {query.shape}"
         )
     recorded: dict[int, tuple[str, int]] = {}
-    original = search_mod._load_pages
+    probabilities: dict[int, float] = {}
+    original_load = search_mod._load_pages
+    original_plan = search_mod._plan_window
 
     def recording_load_pages(t, q, pivot, *args, **kwargs):
-        handles, lost = original(t, q, pivot, *args, **kwargs)
+        handles, lost = original_load(t, q, pivot, *args, **kwargs)
         for handle in handles:
             outcome = "pivot" if handle.index == pivot else "speculative"
             recorded.setdefault(handle.index, (outcome, len(recorded)))
         return handles, lost
 
+    def recording_plan_window(*args, **kwargs):
+        window = original_plan(*args, **kwargs)
+        probabilities.update(window[3])
+        return window
+
     search_mod._load_pages = recording_load_pages
+    search_mod._plan_window = recording_plan_window
     try:
         tree.disk.park()
         result = tree.nearest(query, k=k, scheduler="optimized")
     finally:
-        search_mod._load_pages = original
+        search_mod._load_pages = original_load
+        search_mod._plan_window = original_plan
 
     page_mindists = mindist_to_boxes(
         query, tree._lowers, tree._uppers, tree.metric
@@ -122,6 +137,9 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
                 page=page,
                 mindist=float(page_mindists[page]),
                 outcome=outcome,
+                access_probability=(
+                    None if outcome == "pivot" else probabilities.get(page)
+                ),
                 order=order,
             )
         )

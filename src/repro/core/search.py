@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -569,14 +570,19 @@ def _plan_window(
     bound: float,
     k: int,
     forbidden: frozenset[int] = frozenset(),
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, int, list[int], dict[int, float]]:
     """Plan the cost-balance window around a pivot (Section 2.1).
 
     Builds the pending-page snapshot, evaluates access probabilities for
     file-order neighbors of the pivot, and extends the transfer while
     the cumulated cost balance stays favorable.  ``forbidden`` blocks
     (quarantined pages) stop the speculative scan.  Returns ``(first,
-    last, to_process)``.
+    last, to_process, probabilities)``; ``probabilities`` maps each
+    pending block the scan examined to its access probability.
+
+    The probabilities are evaluated a run of ``ceil(t_seek / t_xfer)``
+    blocks at a time -- the fewest steps in which the scan can give up
+    after its last accepted block -- in one vectorized pass per run.
     """
     n_pages = tree.n_pages
     pending = ~processed
@@ -592,16 +598,27 @@ def _plan_window(
         counts=tree._counts[pending_idx].astype(np.float64),
         mindists=page_mindists[pending_idx],
     )
+    run = max(1, math.ceil(tree.disk.model.overread_window))
+    memo: dict[int, float] = {}
+    examined: dict[int, float] = {}
 
     def probability(block: int) -> float:
-        snap = snapshot_of[block]
-        if snap < 0:
-            return 0.0
-        return float(
-            access_probabilities(
-                query, view, np.array([snap]), metric=tree.metric, k=k
-            )[0]
-        )
+        if block not in memo:
+            step = 1 if block > pivot else -1
+            blocks = np.arange(block, block + step * run, step)
+            blocks = blocks[(blocks >= 0) & (blocks < n_pages)]
+            snaps = snapshot_of[blocks]
+            probs = np.zeros(blocks.size)
+            live = snaps >= 0
+            if live.any():
+                probs[live] = access_probabilities(
+                    query, view, snaps[live], metric=tree.metric, k=k
+                )
+            memo.update(zip(blocks.tolist(), probs.tolist()))
+        prob = memo[block]
+        if snapshot_of[block] >= 0:
+            examined[block] = prob
+        return prob
 
     first, last = cost_balance_window(
         pivot, n_pages, probability, tree.disk.model, forbidden=forbidden
@@ -609,7 +626,7 @@ def _plan_window(
     to_process = [
         j for j in range(first, last + 1) if not processed[j] and pending[j]
     ]
-    return first, last, to_process
+    return first, last, to_process, examined
 
 
 def _load_pages(
@@ -642,7 +659,7 @@ def _load_pages(
         return [], [pivot]
     to_process = [pivot]
     if scheduler == "optimized":
-        first, last, to_process = _plan_window(
+        first, last, to_process, _ = _plan_window(
             tree, query, pivot, page_mindists, processed, bound, k,
             forbidden=frozenset(quarantined),
         )
@@ -665,9 +682,11 @@ def _load_pages(
     lost: list[int] = []
     for j in to_process:
         if j not in quarantined:
+            # The pivot's cache lookup has already missed above.
+            read = tree._read_page_uncached if j == pivot else tree._read_page
             try:
                 handles.append(
-                    _guarded(tree, lambda j=j: tree._read_page(j))
+                    _guarded(tree, lambda j=j, read=read: read(j))
                 )
                 continue
             except (ReadFaultError, IntegrityError) as exc:

@@ -808,6 +808,11 @@ class IQTree:
         cached = self._cached_handle(page)
         if cached is not None:
             return cached
+        return self._read_page_uncached(page)
+
+    def _read_page_uncached(self, page: int) -> PageHandle:
+        """:meth:`_read_page` for a page whose decoded-cache lookup has
+        already missed: a second lookup would count a second miss."""
         return self._decode_page_payload(
             page, self._quant_file.read_block(page)
         )

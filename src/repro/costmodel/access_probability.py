@@ -73,7 +73,8 @@ def effective_cube_radius(radius: float, dim: int, metric: Metric) -> float:
 
     For the maximum metric the ball *is* a cube, so the radius passes
     through unchanged; for any other metric the cube is shrunk so
-    ``(2 r_eff)^d = V_ball(r, d)``.
+    ``(2 r_eff)^d = V_ball(r, d)``.  ``radius`` may be an array of
+    radii, converted elementwise.
     """
     if isinstance(metric, MaximumMetric):
         return radius
@@ -151,41 +152,58 @@ def access_probabilities(
         raise CostModelError("k must be at least 1")
     query = np.asarray(query, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
+    results = np.ones(targets.size, dtype=np.float64)
+    if targets.size == 0:
+        return results
+    radii = pages.mindists[targets].astype(np.float64)
+    # Only pages below the largest target radius enter any product.
+    cols = np.flatnonzero(pages.mindists < radii.max())
+    higher = pages.mindists[cols] < radii[:, None]
+    live = np.flatnonzero(higher.any(axis=1))
+    if live.size == 0:
+        return results
     dim = pages.lowers.shape[1]
-    results = np.empty(targets.size, dtype=np.float64)
-    for out_idx, i in enumerate(targets):
-        radius = pages.mindists[i]
-        higher = pages.mindists < radius
-        higher[i] = False
-        if not np.any(higher):
-            results[out_idx] = 1.0
-            continue
-        fraction = intersection_fractions(
-            query,
-            effective_cube_radius(float(radius), dim, metric),
-            pages.lowers[higher],
-            pages.uppers[higher],
-        )
-        fraction = np.clip(fraction, 0.0, 1.0 - 1e-15)
-        # rate = -log P(no point in any intersection); exp(-rate) is
-        # eq. 2 exactly, and doubles as the Poisson rate for k > 1.
-        rate = -float(
-            np.sum(pages.counts[higher] * np.log1p(-fraction))
-        )
-        results[out_idx] = _poisson_lower_tail(rate, k)
+    fraction = _fraction_block(
+        query,
+        effective_cube_radius(radii[live], dim, metric),
+        pages.lowers[cols].T,
+        pages.uppers[cols].T,
+    )
+    np.clip(fraction, 0.0, 1.0 - 1e-15, out=fraction)
+    terms = pages.counts[cols] * np.log1p(-fraction)
+    # rate = -log P(no point in any intersection); exp(-rate) is eq. 2
+    # exactly, and doubles as the Poisson rate for k > 1.  Each target
+    # sums its own compacted page set in pending order: a masked or
+    # padded row would regroup numpy's pairwise sum.
+    rates = np.array(
+        [
+            -float(np.add.reduce(row[mask]))
+            for row, mask in zip(terms, higher[live])
+        ]
+    )
+    results[live] = _poisson_lower_tail(rates, k)
     return np.clip(results, 0.0, 1.0)
 
 
-def _poisson_lower_tail(rate: float, k: int) -> float:
-    """``P(Poisson(rate) < k)`` -- probability of fewer than k hits."""
-    if rate <= 0.0:
-        return 1.0
-    log_term = -rate  # log of e^-rate * rate^0 / 0!
-    total = np.exp(log_term)
-    for i in range(1, k):
-        log_term += np.log(rate) - np.log(i)
-        total += np.exp(log_term)
-    return float(min(total, 1.0))
+def _poisson_lower_tail(rates: np.ndarray, k: int) -> np.ndarray:
+    """``P(Poisson(rate) < k)`` -- probability of fewer than k hits,
+    elementwise over ``rates``.
+
+    Row ``i`` of ``log_terms`` is ``log(e^-rate rate^i / i!)``, built
+    by adding ``log(rate) - log(i)`` to row ``i - 1``; ``cumsum`` along
+    the rows adds strictly in row order, like a term-by-term loop.
+    """
+    out = np.ones(rates.shape, dtype=np.float64)
+    positive = rates > 0.0
+    rate = rates[positive]
+    steps = np.empty((k, rate.size), dtype=np.float64)
+    steps[0] = -rate
+    if k > 1:
+        steps[1:] = np.log(rate) - np.log(np.arange(1.0, k))[:, None]
+    log_terms = np.cumsum(steps, axis=0)
+    total = np.cumsum(np.exp(log_terms), axis=0)[-1]
+    out[positive] = np.minimum(total, 1.0)
+    return out
 
 
 def intersection_fractions(
@@ -204,20 +222,45 @@ def intersection_fractions(
     """
     if radius < 0:
         raise CostModelError("radius must be non-negative")
-    query = np.asarray(query, dtype=np.float64)
-    sides = uppers - lowers
-    overlap = np.minimum(uppers, query + radius) - np.maximum(
-        lowers, query - radius
-    )
-    overlap = np.maximum(overlap, 0.0)
+    return _fraction_block(
+        np.asarray(query, dtype=np.float64),
+        np.array([radius], dtype=np.float64),
+        np.asarray(lowers).T,
+        np.asarray(uppers).T,
+    )[0]
+
+
+def _fraction_block(
+    query: np.ndarray,
+    radii: np.ndarray,
+    lowers_t: np.ndarray,
+    uppers_t: np.ndarray,
+) -> np.ndarray:
+    """:func:`intersection_fractions` for many cube radii at once.
+
+    ``(t,)`` radii against boxes given dimension-first, ``(d, n)``,
+    give ``(t, n)`` fractions.  Every element goes through the same
+    operations as one radius alone, and the product over dimensions
+    multiplies in dimension order either way; keeping the dimensions
+    on the leading axis just makes that product one elementwise pass
+    per dimension.
+    """
+    low = (query[:, None] - radii)[:, :, None]
+    high = (query[:, None] + radii)[:, :, None]
+    sides = uppers_t - lowers_t
+    flat = ~(sides > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(
-            sides > 0.0,
-            overlap / np.where(sides > 0.0, sides, 1.0),
-            # Degenerate side: inside the interval iff overlap >= 0,
-            # which after clamping means the raw overlap was >= 0.
-            (
-                (lowers >= query - radius) & (lowers <= query + radius)
-            ).astype(np.float64),
+        frac = np.minimum(uppers_t[:, None, :], high)
+        frac -= np.maximum(lowers_t[:, None, :], low)
+        np.maximum(frac, 0.0, out=frac)
+        np.divide(frac, np.where(flat, 1.0, sides)[:, None, :], out=frac)
+    if flat.any():
+        # Degenerate side: inside the interval iff overlap >= 0, which
+        # after clamping means the raw overlap was >= 0.
+        dims, cols = np.nonzero(flat)
+        edge = lowers_t[dims, cols][:, None]
+        frac[dims, :, cols] = (edge >= low[dims, :, 0]) & (
+            edge <= high[dims, :, 0]
         )
-    return np.prod(np.clip(frac, 0.0, 1.0), axis=1)
+    np.clip(frac, 0.0, 1.0, out=frac)
+    return np.multiply.reduce(frac, axis=0)

@@ -109,3 +109,104 @@ class TestExplainUnderFaultsAndCache:
         assert counts["pivot"] == big_tree.nearest(q, k=3).pages_read
         assert counts["pivot"] + counts["pruned"] == big_tree.n_pages
         assert np.array_equal(warm.result_ids, cold.result_ids)
+
+
+class TestRecordedAccessProbabilities:
+    """Each speculative or pruned decision carries the probability its
+    window computed; the spies below see what the eq. 1 scan consumed,
+    independently of what the planner reports."""
+
+    @staticmethod
+    def explain_with_spies(tree, query, k, monkeypatch):
+        from repro.core import search as search_mod
+
+        windows = []
+        plan, scan = search_mod._plan_window, search_mod.cost_balance_window
+
+        def spy_plan(t, q, pivot, page_mindists, processed, bound, k_,
+                     forbidden=frozenset()):
+            windows.append(
+                {
+                    "state": (q.copy(), pivot, page_mindists.copy(),
+                              processed.copy(), bound, k_),
+                    "asked": [],
+                }
+            )
+            return plan(t, q, pivot, page_mindists, processed, bound, k_,
+                        forbidden=forbidden)
+
+        def spy_scan(pivot, n_blocks, probability, model,
+                     forbidden=frozenset()):
+            def asked(block):
+                prob = probability(block)
+                windows[-1]["asked"].append((block, prob))
+                return prob
+
+            return scan(pivot, n_blocks, asked, model, forbidden=forbidden)
+
+        monkeypatch.setattr(search_mod, "_plan_window", spy_plan)
+        monkeypatch.setattr(search_mod, "cost_balance_window", spy_scan)
+        explanation = explain_query(tree, query, k=k)
+        monkeypatch.undo()
+        return explanation, windows
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_values_are_the_window_snapshot_probabilities(
+        self, monkeypatch, k
+    ):
+        from repro.costmodel.access_probability import (
+            PageView,
+            access_probabilities,
+        )
+
+        tree = IQTree.build(np.random.default_rng(0).random((3000, 8)))
+        query = np.random.default_rng(0).random(8)
+        explanation, windows = self.explain_with_spies(
+            tree, query, k, monkeypatch
+        )
+        expected = {}
+        for window in windows:
+            q, pivot, mindists, processed, bound, k_ = window["state"]
+            pending = ~processed
+            if np.isfinite(bound):
+                pending &= mindists <= bound
+            pending[pivot] = True
+            idx = np.flatnonzero(pending)
+            view = PageView(
+                lowers=tree._lowers[idx],
+                uppers=tree._uppers[idx],
+                counts=tree._counts[idx].astype(np.float64),
+                mindists=mindists[idx],
+            )
+            for block, prob in window["asked"]:
+                if not pending[block]:
+                    assert prob == 0.0
+                    continue
+                snap = np.array([np.searchsorted(idx, block)])
+                want = float(
+                    access_probabilities(
+                        q, view, snap, metric=tree.metric, k=k_
+                    )[0]
+                )
+                assert prob == want
+                expected[block] = want
+        outcomes = {"speculative": 0, "pruned": 0}
+        for decision in explanation.decisions:
+            if decision.outcome == "pivot":
+                assert decision.access_probability is None
+                continue
+            assert decision.access_probability == expected.get(
+                decision.page
+            )
+            if decision.access_probability is not None:
+                outcomes[decision.outcome] += 1
+        assert outcomes["speculative"] > 0 and outcomes["pruned"] > 0
+
+    def test_cache_hits_plan_no_window(self, monkeypatch):
+        tree = IQTree.build(np.random.default_rng(0).random((3000, 8)))
+        query = np.random.default_rng(1).random(8)
+        tree.use_decoded_cache(1 << 24)
+        explain_query(tree, query, k=3)
+        warm, windows = self.explain_with_spies(tree, query, 3, monkeypatch)
+        assert windows == []
+        assert all(d.access_probability is None for d in warm.decisions)

@@ -74,6 +74,22 @@ class TestBasics:
         # refinements, but no quantized-page transfers.
         assert tree.disk.stats.elapsed > elapsed_cold
 
+    @pytest.mark.parametrize("scheduler", ["standard", "optimized"])
+    def test_one_lookup_per_pivot(self, scheduler):
+        # A cold pivot is looked up once: the standard scheduler reads
+        # every page as a pivot, so misses equal pages read, and the
+        # optimized one reads the rest in the pivots' windows.
+        points = np.random.default_rng(0).random((3000, 8))
+        tree = IQTree.build(points)
+        cache = tree.use_decoded_cache(1 << 24)
+        q = np.random.default_rng(1).random(8)
+        result = tree.nearest(q, k=3, scheduler=scheduler)
+        assert cache.hits == 0
+        if scheduler == "standard":
+            assert cache.misses == result.pages_read
+        else:
+            assert 0 < cache.misses < result.pages_read
+
     def test_hit_rate_and_repr(self, tree, rng):
         cache = tree.use_decoded_cache(16 << 20)
         assert cache.hit_rate == 0.0  # cold: no division error
