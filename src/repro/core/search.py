@@ -652,9 +652,9 @@ def _load_pages(
     pages that could not be read; ``quarantined`` (the quarantined
     quantized-level blocks) is kept in sync with the context.
     """
-    cached = tree._cached_handle(pivot)
+    cached = tree._cached_entry(pivot)
     if cached is not None:
-        return [cached], []
+        return [cached.handle], []
     if pivot in quarantined:
         return [], [pivot]
     to_process = [pivot]

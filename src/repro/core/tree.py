@@ -667,14 +667,11 @@ class IQTree:
         sidecar, structural re-layouts clear the cache wholesale, and
         quarantined pages are bypassed (see ``docs/performance.md``).
 
-        Idempotent: re-attaching the already-attached cache is a no-op,
-        and swapping caches re-syncs the resident-bytes gauge to the
-        *new* cache, so repeated enable/disable cannot leave
-        ``iq_decoded_page_cache_resident_bytes`` reporting a detached
-        cache's stale byte count.
+        Idempotent: re-attaching the already-attached cache is a no-op.
+        The ``iq_decoded_page_cache_resident_bytes`` gauge sums the
+        caches attached to trees, so a swapped-out cache leaves it.
         """
         from repro.engine.page_cache import DecodedPageCache
-        from repro.obs.instruments import DECODED_CACHE_BYTES
 
         if isinstance(cache_or_budget, DecodedPageCache):
             cache = cache_or_budget
@@ -682,24 +679,19 @@ class IQTree:
             cache = DecodedPageCache(int(cache_or_budget))
         if cache is self._decoded_cache:
             return cache
+        if self._decoded_cache is not None:
+            self._decoded_cache.detach()
         self._decoded_cache = cache
-        if REGISTRY.enabled:
-            DECODED_CACHE_BYTES.set(cache.current_bytes)
+        cache.attach()
         return cache
 
     def clear_decoded_cache(self) -> None:
-        """Detach the decoded-page cache: every read decodes again.
-
-        Resets the resident-bytes gauge so it does not keep reporting
-        the detached cache's last value.  Idempotent.
-        """
-        from repro.obs.instruments import DECODED_CACHE_BYTES
-
+        """Detach the decoded-page cache (and take it out of the
+        resident-bytes gauge): every read decodes again.  Idempotent."""
         if self._decoded_cache is None:
             return
+        self._decoded_cache.detach()
         self._decoded_cache = None
-        if REGISTRY.enabled:
-            DECODED_CACHE_BYTES.set(0)
 
     @property
     def decoded_cache(self):
@@ -785,29 +777,24 @@ class IQTree:
             self._decoded_cache.put(self, page, handle)
         return handle
 
-    def _cached_handle(self, page: int) -> PageHandle | None:
-        """Decoded view of ``page`` from the decoded-page cache, if any.
+    def _cached_entry(self, page: int):
+        """The decoded-page cache's entry for ``page``, if any.
 
-        Quarantined pages always miss: a poisoned block must go through
-        the (failing) read path so it is reported lost, never served
-        from a pre-fault decode.
+        The one lookup of both query paths.  Quarantined pages always
+        miss: a poisoned block must go through the (failing) read path
+        so it is reported lost, never served from a pre-fault decode.
         """
-        cache = self._decoded_cache
-        if cache is None:
-            return None
-        if self._fault_ctx is not None:
-            if self._quant_file.extent_start + page in (
-                self._fault_ctx.quarantine
-            ):
-                return None
-        entry = cache.get(self, page)
-        return None if entry is None else entry.handle
+        cache, ctx = self._decoded_cache, self._fault_ctx
+        quarantined = ctx is not None and (
+            self._quant_file.extent_start + page in ctx.quarantine
+        )
+        return None if cache is None or quarantined else cache.get(self, page)
 
     def _read_page(self, page: int) -> PageHandle:
         """Random single-page read (the standard strategy)."""
-        cached = self._cached_handle(page)
+        cached = self._cached_entry(page)
         if cached is not None:
-            return cached
+            return cached.handle
         return self._read_page_uncached(page)
 
     def _read_page_uncached(self, page: int) -> PageHandle:

@@ -1,13 +1,16 @@
-"""Per-batch page and record caches of the batch query engine.
+"""Per-batch page and record loaders of the batch query engine.
 
 :class:`PageDecodeCache` fetches quantized data pages through one
 optimal batched transfer (Section 2 strategy) and decodes each page at
 most once per batch -- same-width pages go through one
-:func:`~repro.quantization.bitpack.unpack_codes_bulk` call.  The
-derived per-point cell bound boxes are cached as well, because they
-depend only on the page, not on the query;
-:meth:`PageDecodeCache.page_table` stacks them into one table per batch
-for the worker kernels.
+:func:`~repro.quantization.bitpack.unpack_codes_bulk` call.  It keeps
+one :class:`~repro.engine.page_cache.PageEntry` per loaded page: the
+decoded-page store's own entry when the tree has a store (a hit, or the
+entry a fresh decode was published as), otherwise one the batch builds
+for itself.  Holding the entry pins it for the batch.  An entry's cell
+boxes depend only on the page, so they are derived once per page, into
+the entry, and :meth:`PageDecodeCache.page_table` stacks the entries
+into one table per batch for the worker kernels.
 
 :class:`ExactBatchStore` is an alias of the tree's one third-level
 reader, :class:`~repro.core.tree.ExactStore`: the engine hands the
@@ -27,7 +30,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.core.tree import ExactStore, IQTree, PageHandle, decode_page
-from repro.engine.kernels import PageStack, PageTable
+from repro.engine.kernels import PageStack, PageTable, cell_boxes
+from repro.engine.page_cache import PageEntry
 from repro.obs.instruments import PAGES_DECODED, REGISTRY
 from repro.obs.tracing import span as obs_span
 from repro.quantization.bitpack import unpack_codes_bulk
@@ -46,20 +50,20 @@ class PageDecodeCache:
     them per affected query.
 
     When the tree carries a
-    :class:`~repro.engine.page_cache.DecodedPageCache`, already-decoded
-    pages are served from it without touching the disk, and freshly
-    decoded pages (plus their derived cell bounds) are published back
-    -- the cross-batch amortization layer.  Quarantined pages bypass
-    the shared cache entirely: a poisoned block must be reported lost,
-    never served from a pre-fault decode, and losing a page also drops
-    its shared entry.
+    :class:`~repro.engine.page_cache.DecodedPageCache`, pages it holds
+    are served from it without touching the disk, and freshly decoded
+    pages (plus their derived cell boxes) are published to it -- the
+    cross-batch amortization layer.  Quarantined pages bypass the store
+    (:meth:`~repro.core.tree.IQTree._cached_entry`): a poisoned block
+    must be reported lost, never served from a pre-fault decode, and
+    losing a page also drops its store entry.
     """
 
     def __init__(self, tree: IQTree):
         self._tree = tree
         self._shared = tree._decoded_cache
-        self._handles: dict[int, PageHandle] = {}
-        self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: page -> its decoded entry, in load order
+        self._entries: dict[int, PageEntry] = {}
         #: unique pages fetched from the quantized level so far
         self.pages_fetched = 0
         #: unique pages served decoded from the shared cross-batch cache
@@ -75,44 +79,26 @@ class PageDecodeCache:
         decoded for an earlier query of the batch -- or resident in the
         shared cross-batch cache -- are reused without new I/O.
         """
+        tree = self._tree
+        shared = self._shared
         need = sorted(
-            {int(p) for p in pages} - self._handles.keys() - self._lost
+            {int(p) for p in pages} - self._entries.keys() - self._lost
         )
+        for page in need:
+            entry = tree._cached_entry(page)
+            if entry is not None:
+                self._entries[page] = entry
+                self.pages_cached += 1
+        need = [page for page in need if page not in self._entries]
         if not need:
             return
-        ctx = self._tree._fault_ctx
-        shared = self._shared
-        if shared is not None:
-            quarantined = (
-                ctx.quarantine.local_indices(self._tree._quant_file)
-                if ctx is not None
-                else frozenset()
-            )
-            remaining = []
-            for page in need:
-                entry = (
-                    None
-                    if page in quarantined
-                    else shared.get(self._tree, page)
-                )
-                if entry is None:
-                    remaining.append(page)
-                    continue
-                self._handles[page] = entry.handle
-                if entry.bounds is not None:
-                    self._bounds[page] = entry.bounds
-                self.pages_cached += 1
-            need = remaining
-            if not need:
-                return
-        with obs_span(
-            "fetch", disk=self._tree.disk, pages=len(need)
-        ) as fetch_span:
+        ctx = tree._fault_ctx
+        with obs_span("fetch", disk=tree.disk, pages=len(need)) as fetch_span:
             if ctx is None:
-                payloads = self._tree._quant_file.read_batched(need)
+                payloads = tree._quant_file.read_batched(need)
             else:
                 payloads, lost = fetch_with_quarantine(
-                    self._tree._quant_file, self._tree.disk, ctx, need
+                    tree._quant_file, tree.disk, ctx, need
                 )
                 if lost:
                     self.lost_pages.extend(lost)
@@ -124,61 +110,57 @@ class PageDecodeCache:
                         fetch_span.attrs["degraded"] = True
                         fetch_span.attrs["lost_pages"] = len(lost)
         self.pages_fetched += len(payloads)
-        with obs_span("decode", disk=self._tree.disk, pages=len(payloads)):
-            self._decode_bulk(payloads)
-        if shared is not None:
-            for page in payloads:
-                shared.put(self._tree, page, self._handles[page])
-
-    def cell_bounds(self, page: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point conservative boxes of one quantized page.
-
-        Query-independent, so computed once per page per batch and
-        shared by every query that examines the page.
-        """
-        if page not in self._bounds:
-            handle = self._handles[page]
-            view = self._tree._codec_view(page, handle)
-            bounds = view.cell_bounds(handle.codes)
-            self._bounds[page] = bounds
-            if self._shared is not None:
-                self._shared.set_bounds(page, bounds)
-        return self._bounds[page]
+        with obs_span("decode", disk=tree.disk, pages=len(payloads)):
+            handles = self._decode_bulk(payloads)
+        for page in payloads:
+            self._entries[page] = (
+                PageEntry(handles[page])
+                if shared is None
+                else shared.put(tree, page, handles[page])
+            )
 
     def page_table(self) -> PageTable:
         """Plain-array snapshot of every loaded page, for the kernels.
 
         Stacks the loaded pages in ascending page order: exact pages as
-        ``(points, ids)`` rows, quantized pages as ``(lower, upper,
-        ids)`` cell-box rows.  Quantized pages' boxes are derived here,
-        on the coordinator, in load order (the order they are published
-        to the shared cache), so the worker kernels only ever read
-        them.  The snapshot holds only numpy arrays -- no tree, file, or
-        cache references -- so it can be pickled (or frozen into a
-        shared arena as a fixed number of arrays) and shipped to worker
-        processes.
+        ``(points, ids)`` rows, quantized pages as ``(ids,)`` rows with
+        their entries' cell boxes.  An entry without boxes gets them
+        here, on the coordinator, in load order -- published to the
+        store, so a warm page never derives them again -- and the worker
+        kernels only ever read them.  The snapshot holds only numpy
+        arrays -- no tree, file, or cache references -- so it can be
+        pickled (or frozen into a shared arena as a fixed number of
+        arrays) and shipped to worker processes.
         """
-        exact: list[tuple[int, tuple]] = []
-        quant: list[tuple[int, tuple]] = []
-        for page, handle in self._handles.items():
+        tree = self._tree
+        exact: list[tuple] = []
+        quant: list[tuple] = []
+        for page, entry in self._entries.items():
+            handle = entry.handle
             if handle.points is not None:
                 exact.append((page, (handle.points, handle.ids)))
-            else:
-                lo, up = self.cell_bounds(page)
-                quant.append((page, (lo, up, self._tree._part_ids[page])))
-        exact.sort(key=lambda entry: entry[0])
-        quant.sort(key=lambda entry: entry[0])
-        dim = self._tree.dim
+                continue
+            if entry.bounds is None:
+                bounds = cell_boxes(
+                    *tree._codec_view(page, handle).cell_bounds(handle.codes)
+                )
+                if self._shared is None:
+                    entry.bounds = bounds
+                else:
+                    self._shared.set_bounds(page, entry, bounds)
+            quant.append((page, (tree._part_ids[page],), entry.bounds))
+        exact.sort(key=lambda item: item[0])
+        quant.sort(key=lambda item: item[0])
+        dim = tree.dim
         no_ids = np.empty(0, dtype=np.int64)
         return PageTable(
             exact=PageStack.stack(exact, (np.empty((0, dim)), no_ids)),
-            quant=PageStack.stack(
-                quant, (np.empty((0, dim)), np.empty((0, dim)), no_ids)
-            ),
+            quant=PageStack.stack(quant, (no_ids,), dim),
         )
 
-    def _decode_bulk(self, payloads: Mapping[int, bytes]) -> None:
+    def _decode_bulk(self, payloads: Mapping[int, bytes]) -> dict:
         dim = self._tree.dim
+        handles: dict[int, PageHandle] = {}
         grouped: dict[int, list[tuple[int, bytes, int]]] = defaultdict(list)
         for page, payload in payloads.items():
             m, bits, codec = serializer.QUANT_PAGE_HEADER.unpack_from(
@@ -188,7 +170,7 @@ class PageDecodeCache:
                 # Exact pages carry coords + ids and PQ pages carry a
                 # per-page codebook; both decode individually (a plain
                 # frombuffer / codebook gather, nothing to batch).
-                self._handles[page] = decode_page(page, payload, dim)
+                handles[page] = decode_page(page, payload, dim)
             else:
                 body = payload[serializer.QUANT_PAGE_HEADER.size :]
                 grouped[bits].append((page, body, m))
@@ -202,9 +184,8 @@ class PageDecodeCache:
             if REGISTRY.enabled:
                 PAGES_DECODED.inc(len(entries), bits=bits)
             for (page, _body, _m), codes in zip(entries, codes_list):
-                self._handles[page] = PageHandle(
-                    page, bits, codes, None, None
-                )
+                handles[page] = PageHandle(page, bits, codes, None, None)
+        return handles
 
 
 #: The batch engine's third-level reader is the tree's one record

@@ -22,22 +22,24 @@ code is the per-query bodies: :func:`plan_knn_query` /
 :func:`assemble_range_query`.
 
 The page table stacks every loaded page's per-point rows into a few
-contiguous arrays with page offsets (:class:`PageStack`): the cell
-boxes and ids of the quantized pages, the coordinates and ids of the
-exact pages.  The quantized stack also carries, built once per batch,
-a column-major copy of the cell boxes and each page's bounding box.
+contiguous arrays with page offsets (:class:`PageStack`): the
+coordinates and ids of the exact pages, the ids of the quantized
+pages.  The quantized pages' cell boxes have one layout, derived once
+per page by the decoded-page store (:func:`cell_boxes`): column-major
+corners plus each page's bounding box, which the stack concatenates.
 
 A plan kernel first abandons rows: it takes a bound (the radius, or for
 kNN a k-th upper bound from the candidate page nearest the query),
 folds each candidate row's per-dimension mindist terms in stages of a
-few dimensions from the column-major copy, and drops a row as soon as
-its partial fold exceeds the bound -- the partial-distance elimination
-of branch-and-bound nearest-neighbour search.  Only the rows that
-remain get one ``mindist_to_boxes`` pass, gathered as C-contiguous
-rows so each lower bound is the same float a pass over every row would
-give; upper bounds are computed only for the few points that can set
-the k-th radius, and rows turn back into ``(page, local)`` keys only
-for the points that survive.  :func:`plan_knn_query` carries the
+few dimensions from the column-major corners, and drops a row as soon
+as its partial fold exceeds the bound -- the partial-distance
+elimination of branch-and-bound nearest-neighbour search.  Only the
+rows that remain get one ``mindist_to_boxes`` pass, gathered as
+C-contiguous rows (:meth:`PageStack.corners`) so each lower bound is
+the same float a pass over every row would give; upper bounds are
+computed only for the few points that can set the k-th radius, and
+rows turn back into ``(page, local)`` keys only for the points that
+survive.  :func:`plan_knn_query` carries the
 exactness proof.
 
 Both executor backends (and the serial ``workers=1`` path) run exactly
@@ -105,6 +107,22 @@ def _freeze(value, arena):
     return value
 
 
+def cell_boxes(lower: np.ndarray, upper: np.ndarray) -> tuple:
+    """``(columns, box)`` of one page's ``(n, d)`` cell corners: their
+    column-major ``(d, 2, n)`` copy (``columns[j, 0]`` is dimension
+    ``j`` of every lower corner, ``columns[j, 1]`` of every upper one)
+    and the page's ``(2, d)`` bounding box (``+inf``/``-inf`` without
+    points).  Query-independent: derived once per page, into its
+    decoded-page entry."""
+    columns = np.empty((lower.shape[1], 2, len(lower)))
+    columns[:, 0], columns[:, 1] = lower.T, upper.T
+    box = np.empty((2, lower.shape[1]))
+    box[0], box[1] = np.inf, -np.inf
+    if len(lower):
+        box[0], box[1] = lower.min(axis=0), upper.max(axis=0)
+    return columns, box
+
+
 @dataclass
 class PageStack:
     """Row-aligned per-point arrays of many pages, in ascending page order.
@@ -116,13 +134,11 @@ class PageStack:
     points in one numpy pass and lets the stack ship as a fixed number
     of arena arrays, however many pages it holds.
 
-    A stack of cell boxes -- rows ``(lower, upper, ...)`` whose first
-    two arrays are ``(n, d)`` corners -- also carries the layouts of the
-    early-abandoning plan pass: ``columns``, a column-major ``(d, 2, n)``
-    copy of the corners (``columns[j, 0]`` is dimension ``j`` of every
-    lower corner, ``columns[j, 1]`` of every upper one), and ``boxes``,
-    the ``(2, P, d)`` lower and upper corners of each page's bounding
-    box (``+inf``/``-inf`` for a page without points).  Other stacks
+    A stack of cell boxes keeps only ids in ``rows``; its corners are
+    ``columns``, the ``(d, 2, n)`` concatenation of its pages'
+    column-major blocks, and ``boxes`` the ``(2, P, d)`` bounding boxes
+    of its pages (see :func:`cell_boxes`).  :meth:`corners` gathers
+    row-major corners for the exact bounding passes.  Other stacks
     leave both ``None``.
     """
 
@@ -133,42 +149,27 @@ class PageStack:
     boxes: object = None  # (2, P, d) per-page bounding boxes
 
     @classmethod
-    def stack(cls, entries, empty: tuple) -> "PageStack":
+    def stack(cls, entries, empty: tuple, dim: int | None = None):
         """Stack ``(page, arrays)`` entries (ascending pages); ``empty``
-        gives the zero-row arrays of a stack without entries."""
-        counts = [len(arrays[0]) for _page, arrays in entries]
+        gives the zero-row arrays of a stack without entries.  A box
+        stack of ``dim`` dimensions takes ``(page, arrays, (columns,
+        box))`` entries, as :func:`cell_boxes` lays each page out."""
         offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        np.cumsum([len(entry[1][0]) for entry in entries], out=offsets[1:])
+        rows = empty
         if entries:
             rows = tuple(
-                np.concatenate([arrays[i] for _page, arrays in entries])
+                np.concatenate([entry[1][i] for entry in entries])
                 for i in range(len(empty))
             )
-        else:
-            rows = empty
         columns = boxes = None
-        if len(empty) > 1 and empty[1].ndim == 2:
-            dim = empty[0].shape[1]
-            columns = np.empty((dim, 2, int(offsets[-1])))
-            # Page by page: a transposing copy in page-sized blocks
-            # stays in cache, unlike one over the whole stack.
-            for s, (_page, (lower, upper, *_rest)) in enumerate(entries):
-                block = columns[:, :, offsets[s] : offsets[s + 1]]
-                block[:, 0] = lower.T
-                block[:, 1] = upper.T
-            boxes = np.empty((2, len(entries), dim))
-            boxes[0], boxes[1] = np.inf, -np.inf
-            held = np.flatnonzero(np.diff(offsets))  # pages with points
-            if held.size:
-                starts = offsets[held]
-                boxes[0, held] = np.minimum.reduceat(
-                    columns[:, 0], starts, axis=1
-                ).T
-                boxes[1, held] = np.maximum.reduceat(
-                    columns[:, 1], starts, axis=1
-                ).T
+        if dim is not None:
+            columns, boxes = np.empty((dim, 2, 0)), np.empty((2, 0, dim))
+            if entries:
+                columns = np.concatenate([e[2][0] for e in entries], axis=2)
+                boxes = np.stack([e[2][1] for e in entries], axis=1)
         return cls(
-            pages=np.array([page for page, _ in entries], dtype=np.int64),
+            pages=np.array([entry[0] for entry in entries], dtype=np.int64),
             offsets=offsets,
             rows=rows,
             columns=columns,
@@ -224,6 +225,15 @@ class PageStack:
             int(lengths.sum())
         )
 
+    def corners(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """C-contiguous ``(m, d)`` lower and upper corners of ``rows``
+        (a :meth:`rows_of` selection) of a box stack: every bound is
+        computed row by row over rows laid out so."""
+        lower, upper = np.ascontiguousarray(
+            self.columns[:, :, rows].transpose(1, 2, 0)
+        )
+        return lower, upper
+
     def keys(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """``(page, local)`` of each row in ``rows``, in that order."""
         slots = np.searchsorted(self.offsets, rows, side="right") - 1
@@ -261,11 +271,12 @@ class PageTable:
     """Decoded views of a batch's loaded pages, as two page stacks.
 
     ``exact`` stacks the pages stored at full resolution as ``(points,
-    ids)`` rows; ``quant`` stacks the quantized pages as ``(lower,
-    upper, ids)`` rows -- each point's conservative cell box and id (the
-    id is needed only for interval fallbacks of unreadable records).
-    Built by the engine from the per-batch decode cache *after* all
-    simulated I/O has been charged; kernels only ever read it.
+    ids)`` rows; ``quant`` stacks the quantized pages as ``(ids,)`` rows
+    plus each point's conservative cell box in the box-stack layout
+    (the id is needed only for interval fallbacks of unreadable
+    records).  Built by the engine from the batch's decoded-page
+    entries *after* all simulated I/O has been charged, by
+    concatenating what each entry holds; kernels only ever read it.
     """
 
     exact: PageStack
@@ -480,9 +491,8 @@ def _seed_bound(query, k, slots, page_lower, stack, exact_dists, metric):
     near = slots[np.argsort(page_lower, kind="stable")]
     counts = np.cumsum(stack.offsets[near + 1] - stack.offsets[near])
     take = int(np.searchsorted(counts, max(k - exact_dists.size, 1))) + 1
-    rows = stack.rows_of(np.sort(near[:take]))
-    lo, up, _ids = stack.rows
-    seed_up = maxdist_to_boxes(query, lo[rows], up[rows], metric)
+    lo, up = stack.corners(stack.rows_of(np.sort(near[:take])))
+    seed_up = maxdist_to_boxes(query, lo, up, metric)
     return _kth_smallest(np.concatenate([exact_dists, seed_up]), k)
 
 
@@ -571,8 +581,7 @@ def plan_knn_query(query, k, pages, table, metric, scratch) -> dict:
             query, k, slots, page_lower, quant, exact_dists, metric
         )
     kept = _abandon(query, quant, slots, page_lower, tau0, metric, scratch)
-    lo, up, _ids = quant.rows
-    lo, up = lo[kept], up[kept]
+    lo, up = quant.corners(kept)
     lower = mindist_to_boxes(query, lo, up, metric)
     if candidate_points < k:
         tau = np.inf
@@ -615,8 +624,7 @@ def plan_range_query(query, radius, pages, table, metric, scratch) -> dict:
         query, quant, slots, _page_lower(query, quant, slots, metric),
         radius, metric, scratch,
     )
-    lo, up, _ids = quant.rows
-    lower = mindist_to_boxes(query, lo[kept], up[kept], metric)
+    lower = mindist_to_boxes(query, *quant.corners(kept), metric)
     survivors = np.flatnonzero(lower <= radius)
     n_quant = int((quant.offsets[slots + 1] - quant.offsets[slots]).sum())
     return {
@@ -652,9 +660,9 @@ def interval_for(query, key, table, metric) -> tuple[int, float, float]:
     instruments are applied later, on the coordinator, in query order.
     """
     row = table.quant.row(*key)
-    lo_box, up_box, ids = table.quant.rows
+    (ids,) = table.quant.rows
     lo, hi = cell_interval(
-        query, lo_box[row : row + 1], up_box[row : row + 1], metric
+        query, *table.quant.corners(slice(row, row + 1)), metric
     )
     return int(ids[row]), lo, hi
 

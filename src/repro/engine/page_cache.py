@@ -1,14 +1,15 @@
-"""A tree-level, memory-budgeted cache of decoded quantized pages.
+"""The decoded-page store: one entry per quantized page, for every query.
 
-The per-batch :class:`~repro.engine.decode.PageDecodeCache` guarantees
-each page is fetched and decoded at most once *per batch*; this module
-extends the amortization *across* batches (and single queries): a
-:class:`DecodedPageCache` attached to a tree
-(``tree.use_decoded_cache(budget)``) keeps decoded code matrices -- and
-their derived per-point cell-bound boxes -- resident under an LRU policy
-bounded by a byte budget, so a page touched by consecutive batches pays
-the fetch + bit-unpack + bound computation exactly once while it stays
-resident.
+A :class:`DecodedPageCache` attached to a tree
+(``tree.use_decoded_cache(budget)``) keeps one :class:`PageEntry` per
+page -- the decoded handle and, once a batch derived them, the cell
+boxes in the one layout the batch kernels read -- under an LRU policy
+bounded by a byte budget that counts every array an entry holds.  A
+page touched by consecutive batches and single queries pays the fetch,
+the bit-unpack and the box derivation once while it stays resident.  A
+batch holds the entries it loaded by reference
+(:class:`~repro.engine.decode.PageDecodeCache`), which pins them: a
+page evicted mid-batch stays usable by that batch.
 
 Validity is by content, not by hope: every entry records the CRC32
 sidecar value of its backing block at decode time, and a lookup only
@@ -18,9 +19,10 @@ the sidecar, so the stale decoded copy is dropped on its next lookup
 (and counted as an invalidation).  Structural rewrites
 (:meth:`~repro.core.tree.IQTree._layout` after inserts/splits/deletes)
 clear the cache wholesale, because page indices themselves are
-reassigned.  Quarantined pages are bypassed by the callers (a poisoned
-block must surface as a lost page, never be silently served from a
-pre-fault decode).
+reassigned.  Quarantined pages are bypassed by the one lookup,
+:meth:`~repro.core.tree.IQTree._cached_entry` (a poisoned block must
+surface as a lost page, never be silently served from a pre-fault
+decode).  The resident-bytes gauge sums every store attached to a tree.
 
 Thread safety: all mutation happens under one re-entrant lock.  The
 batch engine only touches the cache from its coordinator thread, but
@@ -30,10 +32,9 @@ single-query callers may share a tree across threads.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.exceptions import SearchError
 from repro.obs.instruments import (
@@ -45,39 +46,52 @@ from repro.obs.instruments import (
     REGISTRY,
 )
 
-__all__ = ["DecodedPageCache"]
+__all__ = ["DecodedPageCache", "PageEntry"]
 
 
-@dataclass
-class _Entry:
-    """One resident decoded page."""
+@dataclass(eq=False)
+class PageEntry:
+    """One decoded page: its handle and, once derived, its cell boxes
+    ``bounds``, the ``(columns, box)`` pair of
+    :func:`~repro.engine.kernels.cell_boxes`.  ``crc`` and ``nbytes``
+    are the store's; a batch without a store leaves them at zero."""
 
-    crc: int
     handle: object  # PageHandle (avoid a core->engine import cycle)
-    bounds: tuple[np.ndarray, np.ndarray] | None
-    nbytes: int
+    bounds: tuple | None = None
+    crc: int = 0
+    nbytes: int = 0
 
 
-def _entry_bytes(handle, bounds) -> int:
-    total = 0
-    for arr in (handle.codes, handle.points, handle.ids):
-        if arr is not None:
-            total += arr.nbytes
+def _entry_bytes(entry: PageEntry) -> int:
+    handle = entry.handle
+    arrays = (handle.codes, handle.points, handle.ids, *(entry.bounds or ()))
+    total = sum(arr.nbytes for arr in arrays if arr is not None)
     aux = getattr(handle, "aux", None)
     if aux is not None:
         total += aux.nbytes
-    if bounds is not None:
-        total += bounds[0].nbytes + bounds[1].nbytes
     return total
 
 
+#: stores attached to a live tree; the resident-bytes gauge sums them
+_ATTACHED: "weakref.WeakSet[DecodedPageCache]" = weakref.WeakSet()
+_GAUGE_LOCK = threading.Lock()
+
+
+def _publish_bytes() -> None:
+    if REGISTRY.enabled:
+        with _GAUGE_LOCK:
+            DECODED_CACHE_BYTES.set(
+                sum(store.current_bytes for store in list(_ATTACHED))
+            )
+
+
 class DecodedPageCache:
-    """LRU cache of decoded quantized pages, bounded by a byte budget.
+    """LRU store of decoded quantized pages, bounded by a byte budget.
 
     Parameters
     ----------
     budget_bytes:
-        Maximum resident bytes of decoded matrices plus cell bounds.
+        Maximum resident bytes of decoded matrices plus cell boxes.
         Must be positive; when an insert pushes the total over budget,
         least-recently-used entries are evicted until it fits (an entry
         larger than the whole budget is simply not kept).
@@ -91,7 +105,7 @@ class DecodedPageCache:
         if budget_bytes <= 0:
             raise SearchError("decoded-page cache budget must be positive")
         self.budget_bytes = int(budget_bytes)
-        self._entries: OrderedDict[int, _Entry] = OrderedDict()
+        self._entries: OrderedDict[int, PageEntry] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -99,10 +113,20 @@ class DecodedPageCache:
         self.invalidations = 0
         self.current_bytes = 0
 
+    def attach(self) -> None:
+        """Count this store in the resident-bytes gauge (a tree uses it)."""
+        _ATTACHED.add(self)
+        _publish_bytes()
+
+    def detach(self) -> None:
+        """Take this store out of the resident-bytes gauge."""
+        _ATTACHED.discard(self)
+        _publish_bytes()
+
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
-    def get(self, tree, page: int) -> _Entry | None:
+    def get(self, tree, page: int) -> PageEntry | None:
         """The resident entry for ``page``, or None.
 
         A hit requires the backing block's CRC32 sidecar to still match
@@ -119,7 +143,7 @@ class DecodedPageCache:
                     self.invalidations += 1
                     if REGISTRY.enabled:
                         DECODED_CACHE_INVALIDATIONS.inc()
-                        DECODED_CACHE_BYTES.set(self.current_bytes)
+                        _publish_bytes()
                     entry = None
                 else:
                     self._entries.move_to_end(page)
@@ -133,14 +157,15 @@ class DecodedPageCache:
                 DECODED_CACHE_HITS.inc()
             return entry
 
-    def put(self, tree, page: int, handle, bounds=None) -> None:
+    def put(self, tree, page: int, handle, bounds=None) -> PageEntry:
         """Insert (or refresh) the decoded view of ``page``.
 
         Records the block's current CRC sidecar as the entry's validity
         token and evicts LRU entries until the budget is respected.  An
         entry larger than the whole budget is rejected up front -- it
         could never be served anyway, and admitting it would flush
-        every resident entry before evicting itself.
+        every resident entry before evicting itself.  Returns the new
+        entry either way, so the caller can use it.
 
         The sidecar is read exactly once per put: reading it separately
         for the bounds-reuse check and the entry token would let a
@@ -155,32 +180,28 @@ class DecodedPageCache:
                 self.current_bytes -= old.nbytes
                 if bounds is None and old.crc == crc:
                     bounds = old.bounds  # keep already-derived bounds
-            entry = _Entry(
-                crc=crc,
-                handle=handle,
-                bounds=bounds,
-                nbytes=_entry_bytes(handle, bounds),
-            )
-            if entry.nbytes > self.budget_bytes:
-                if REGISTRY.enabled:
-                    DECODED_CACHE_BYTES.set(self.current_bytes)
-                return
-            self._entries[page] = entry
-            self.current_bytes += entry.nbytes
-            self._evict_over_budget()
-            if REGISTRY.enabled:
-                DECODED_CACHE_BYTES.set(self.current_bytes)
+            entry = PageEntry(handle=handle, bounds=bounds, crc=crc)
+            entry.nbytes = _entry_bytes(entry)
+            if entry.nbytes <= self.budget_bytes:
+                self._entries[page] = entry
+                self.current_bytes += entry.nbytes
+                self._evict_over_budget()
+            _publish_bytes()
+            return entry
 
-    def set_bounds(self, page: int, bounds) -> None:
-        """Attach derived cell bounds to a resident entry (no-op when
-        the page was evicted in the meantime)."""
+    def set_bounds(self, page: int, entry: PageEntry, bounds) -> None:
+        """Attach derived cell boxes to ``entry`` (the entry of
+        ``page``) unless it has some; they count against the budget
+        while ``entry`` is resident.  An entry evicted in the meantime
+        still gets them, for the batch that holds it."""
         with self._lock:
-            entry = self._entries.get(page)
-            if entry is None or entry.bounds is not None:
+            if entry.bounds is not None:
                 return
             entry.bounds = bounds
-            grown = bounds[0].nbytes + bounds[1].nbytes
+            grown = _entry_bytes(entry) - entry.nbytes
             entry.nbytes += grown
+            if self._entries.get(page) is not entry:
+                return
             self.current_bytes += grown
             self._entries.move_to_end(page)
             if entry.nbytes > self.budget_bytes:
@@ -193,8 +214,7 @@ class DecodedPageCache:
                     DECODED_CACHE_EVICTIONS.inc()
             else:
                 self._evict_over_budget()
-            if REGISTRY.enabled:
-                DECODED_CACHE_BYTES.set(self.current_bytes)
+            _publish_bytes()
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -209,12 +229,12 @@ class DecodedPageCache:
             self.invalidations += 1
             if REGISTRY.enabled:
                 DECODED_CACHE_INVALIDATIONS.inc()
-                DECODED_CACHE_BYTES.set(self.current_bytes)
+                _publish_bytes()
 
     def clear(self) -> None:
         """Drop everything (re-layout reassigns page indices wholesale).
 
-        Counters are kept; the resident-bytes gauge drops to zero.
+        Counters are kept; the store's resident bytes drop to zero.
         """
         with self._lock:
             if self._entries:
@@ -223,8 +243,7 @@ class DecodedPageCache:
                     DECODED_CACHE_INVALIDATIONS.inc(len(self._entries))
             self._entries.clear()
             self.current_bytes = 0
-            if REGISTRY.enabled:
-                DECODED_CACHE_BYTES.set(0)
+            _publish_bytes()
 
     def _evict_over_budget(self) -> None:
         while self.current_bytes > self.budget_bytes and self._entries:

@@ -158,7 +158,7 @@ DECODED_CACHE_INVALIDATIONS = REGISTRY.counter(
 )
 DECODED_CACHE_BYTES = REGISTRY.gauge(
     "iq_decoded_page_cache_resident_bytes",
-    "Bytes of decoded code matrices and cell bounds currently resident",
+    "Bytes of decoded pages and cell boxes resident, over attached stores",
 )
 
 # ----------------------------------------------------------------------

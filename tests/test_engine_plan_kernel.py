@@ -31,6 +31,7 @@ from repro.engine.kernels import (
     PageStack,
     PageTable,
     PlanTask,
+    cell_boxes,
     plan_shard,
 )
 from repro.engine.shm import SharedArena
@@ -197,14 +198,12 @@ def stacked_table(sc) -> PageTable:
     no_ids = np.empty(0, dtype=np.int64)
     exact = sorted(sc["exact"].items())
     quant = [
-        (page, (lo, up, sc["part_ids"][page]))
+        (page, (sc["part_ids"][page],), cell_boxes(lo, up))
         for page, (lo, up) in sorted(sc["bounds"].items())
     ]
     return PageTable(
         exact=PageStack.stack(exact, (np.empty((0, dim)), no_ids)),
-        quant=PageStack.stack(
-            quant, (np.empty((0, dim)), np.empty((0, dim)), no_ids)
-        ),
+        quant=PageStack.stack(quant, (no_ids,), dim),
     )
 
 

@@ -19,6 +19,7 @@ metrics.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.engine.kernels import (
     PageStack,
     PageTable,
     PlanTask,
+    cell_boxes,
     plan_shard,
 )
 from repro.engine.shm import SharedArena
@@ -57,9 +59,8 @@ def one_pass_knn(query, k, pages, table, metric) -> dict:
     points, ids = table.exact.rows
     exact_sel = table.exact.select(pages)
     exact_dists = metric.distances(query, points[exact_sel])
-    lo, up, _ids = table.quant.rows
     sel = table.quant.select(pages)
-    lo, up = lo[sel], up[sel]
+    lo, up = table.lower[sel], table.upper[sel]
     lower = mindist_to_boxes(query, lo, up, metric)
     candidate_points = exact_dists.size + lower.size
     if candidate_points < k:
@@ -89,9 +90,9 @@ def one_pass_range(query, radius, pages, table, metric) -> dict:
     exact_sel = table.exact.select(pages)
     dists = metric.distances(query, points[exact_sel])
     inside = dists <= radius
-    lo, up, _ids = table.quant.rows
     sel = table.quant.select(pages)
-    lower = mindist_to_boxes(query, lo[sel], up[sel], metric)
+    lo, up = table.lower[sel], table.upper[sel]
+    lower = mindist_to_boxes(query, lo, up, metric)
     survivors = np.flatnonzero(lower <= radius)
     return {
         "exact_ids": ids[exact_sel][inside].astype(np.int64, copy=False),
@@ -117,17 +118,30 @@ def assert_same_plan(got, want) -> None:
     assert len(got["refine"]) <= got["bounded"]
 
 
-def make_table(dim, exact, quant) -> PageTable:
+@dataclass
+class BuiltTable(PageTable):
+    """A page table plus the row-major corners of the quantized pages
+    it was built from, in stack row order: the oracles read these, not
+    the stack under test."""
+
+    lower: np.ndarray = None
+    upper: np.ndarray = None
+
+
+def make_table(dim, exact, quant) -> BuiltTable:
     """``exact``: {page: (points, ids)}; ``quant``: {page: (lo, up, ids)}."""
     no_ids = np.empty(0, dtype=np.int64)
-    return PageTable(
-        exact=PageStack.stack(
-            sorted(exact.items()), (np.empty((0, dim)), no_ids)
-        ),
+    pages = sorted(quant.items())
+    none = np.empty((0, dim))
+    return BuiltTable(
+        exact=PageStack.stack(sorted(exact.items()), (none, no_ids)),
         quant=PageStack.stack(
-            sorted(quant.items()),
-            (np.empty((0, dim)), np.empty((0, dim)), no_ids),
+            [(p, (ids,), cell_boxes(lo, up)) for p, (lo, up, ids) in pages],
+            (no_ids,),
+            dim,
         ),
+        lower=np.concatenate([none] + [lo for _p, (lo, _up, _i) in pages]),
+        upper=np.concatenate([none] + [up for _p, (_lo, up, _i) in pages]),
     )
 
 
@@ -490,7 +504,8 @@ class TestStackLayouts:
             },
         )
         quant = table.quant
-        lo, up, _ids = quant.rows
+        lo = np.concatenate([a_lo, empty, b_lo])
+        up = np.concatenate([a_lo + 0.1, empty, b_lo + 0.2])
         assert quant.columns.shape == (4, 2, 5)
         assert quant.columns.flags.c_contiguous
         np.testing.assert_array_equal(quant.columns[:, 0], lo.T)
