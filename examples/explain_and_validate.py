@@ -4,7 +4,8 @@ Two introspection tools round out the library:
 
 * ``explain_query`` traces one nearest-neighbor search -- which pages
   were pivots, which were pre-read speculatively by the cost-balance
-  scheduler, which were pruned -- so you can watch Section 2.1 of the
+  scheduler, which were pruned, and which read pages the best-first
+  order never needed to decode -- so you can watch Section 2.1 of the
   paper operate on your data.
 * ``validate_cost_model`` compares the cost model's predictions
   (expected page accesses, refinements, total time) against an
@@ -50,6 +51,7 @@ def main() -> None:
         print(
             f"  page {decision.page:4d}  mindist={decision.mindist:.4f}"
             f"  {decision.outcome}"
+            f"{'' if decision.decoded else ', never decoded'}"
         )
 
     # --- validate the cost model --------------------------------------

@@ -2,9 +2,10 @@
 
 ``explain_query`` runs an instrumented nearest-neighbor search and
 returns a structured trace -- the per-page decisions (pruned, loaded
-standardly, pre-read speculatively) with the access probabilities the
-scheduler computed -- so users can see the paper's machinery at work on
-their own data, and tests can pin scheduler behaviour precisely.
+standardly, pre-read speculatively), the access probabilities the
+scheduler computed, and whether the search needed each page it read --
+so users can see the paper's machinery at work on their own data, and
+tests can pin scheduler behaviour precisely.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ class PageDecision:
     outcome: str  # "pivot" | "speculative" | "pruned"
     #: last probability the window planner computed (see explain_query)
     access_probability: float | None = None
-    order: int | None = None  # processing order among read pages
+    order: int | None = None  # read order among read pages
+    #: the search decoded and bounded the page; a page read but never
+    #: decoded cost its transfer and nothing else (wasted I/O)
+    decoded: bool = False
 
 
 @dataclass
@@ -61,11 +65,17 @@ class QueryExplanation:
             1 for d in self.decisions if d.outcome == "speculative"
         )
 
+    @property
+    def pages_decoded(self) -> int:
+        """Read pages the search decoded (the rest were wasted reads)."""
+        return sum(1 for d in self.decisions if d.decoded)
+
     def summary(self) -> str:
         """Human-readable one-paragraph report."""
         return (
             f"k={self.k}: read {self.pages_read} pages "
-            f"({self.speculative_reads} speculative), pruned "
+            f"({self.speculative_reads} speculative, "
+            f"{self.pages_decoded} decoded), pruned "
             f"{self.pages_pruned}, refined {self.refinements} points, "
             f"{self.elapsed * 1e3:.2f} ms simulated"
         )
@@ -78,7 +88,9 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
     each page it returns is the step's pivot or a speculative read of
     the pivot's cost-balance window.  A decoded-cache hit is a step of
     its own (no window is planned around it), so it counts as that
-    step's pivot.  Pages never loaded are pruned.
+    step's pivot.  Pages never loaded are pruned.  The page processor
+    is hooked too: a read page is ``decoded`` when its turn came in the
+    best-first order (an exact page, when it was read).
 
     A speculative or pruned page carries the access probability the
     window planner last computed for it while it was still pending
@@ -95,29 +107,37 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
         )
     recorded: dict[int, tuple[str, int]] = {}
     probabilities: dict[int, float] = {}
+    decoded: set[int] = set()
     original_load = search_mod._load_pages
     original_plan = search_mod._plan_window
+    original_process = search_mod._process_page
 
     def recording_load_pages(t, q, pivot, *args, **kwargs):
-        handles, lost = original_load(t, q, pivot, *args, **kwargs)
-        for handle in handles:
-            outcome = "pivot" if handle.index == pivot else "speculative"
-            recorded.setdefault(handle.index, (outcome, len(recorded)))
-        return handles, lost
+        entries, lost = original_load(t, q, pivot, *args, **kwargs)
+        for page in entries:
+            outcome = "pivot" if page == pivot else "speculative"
+            recorded.setdefault(page, (outcome, len(recorded)))
+        return entries, lost
 
     def recording_plan_window(*args, **kwargs):
         window = original_plan(*args, **kwargs)
         probabilities.update(window[3])
         return window
 
+    def recording_process_page(t, q, handle, *args, **kwargs):
+        decoded.add(handle.index)
+        return original_process(t, q, handle, *args, **kwargs)
+
     search_mod._load_pages = recording_load_pages
     search_mod._plan_window = recording_plan_window
+    search_mod._process_page = recording_process_page
     try:
         tree.disk.park()
         result = tree.nearest(query, k=k, scheduler="optimized")
     finally:
         search_mod._load_pages = original_load
         search_mod._plan_window = original_plan
+        search_mod._process_page = original_process
 
     page_mindists = mindist_to_boxes(
         query, tree._lowers, tree._uppers, tree.metric
@@ -141,6 +161,7 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
                     None if outcome == "pivot" else probabilities.get(page)
                 ),
                 order=order,
+                decoded=page in decoded,
             )
         )
     return explanation

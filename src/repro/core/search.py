@@ -9,14 +9,27 @@ pivot is refined -- its exact coordinates are fetched from the third
 level -- because, as the paper argues, no strategy can avoid that
 look-up.
 
-A loaded page's cells do not enter the list one by one.  They are sorted
-once into a *run* ordered by ``(lower bound, local index)`` and only the
-run's head sits in the heap; popping it pushes the run's next cell.  The
-run reserves the contiguous block of tie-break numbers its cells'
-individual pushes would have drawn, so the heap pops exactly the
-``(distance, tie)`` sequence of the one-entry-per-cell list -- same
-refinements, same ledger -- for one push per page plus one per refined
-point instead of one per cell.
+Reading a page and processing it are separate decisions.  The
+scheduler decides which pages to *read*; a quantized page it read keeps
+its page entry in the list, under its MBR mindist, and is decoded and
+bounded only when that entry pops -- when its turn comes in best-first
+order.  A page read speculatively whose turn never comes is never
+decoded.  Exact pages are still processed when read: their points lower
+the pruning bound the next window is planned with.
+
+A processed page's cells do not enter the list one by one.  They are
+sorted once into a *run* ordered by ``(lower bound, local index)`` and
+only the run's head sits in the heap; popping it pushes the run's next
+cell.  A page reserves a contiguous block of tie-break numbers, one per
+row, when it is *read* (in read order, sized by the payload header); its
+surviving cells are numbered from that block in local order.  A cell's
+box lies inside its page's MBR, so its lower bound is at least the
+page's mindist, and a page entry's tie is below every cell's: a page
+always pops before its cells.  Cells a page drops under the smaller
+bound at its turn could never have popped.  So the heap pops exactly the
+cells, in the same order, that a list which entered every cell when its
+page was read would pop -- same refinements, same ledger -- for one
+push per page plus one per refined point instead of one per cell.
 
 Two page-access strategies are available:
 
@@ -54,6 +67,8 @@ from repro.core.tree import ExactStore, IQTree, PageHandle
 from repro.geometry.mbr import maxdist_to_boxes, mindist_to_boxes
 from repro.obs.drift import MONITOR as _DRIFT
 from repro.obs.instruments import QUERY_SECONDS, REGISTRY
+from repro.quantization.capacity import EXACT_BITS
+from repro.storage import serializer
 from repro.storage.disk import IOStats
 from repro.storage.runtime_faults import LostPage, fault_address
 from repro.storage.scheduler import cost_balance_window
@@ -225,7 +240,8 @@ class NNResult:
     io:
         Simulated-I/O delta of this query.
     pages_read:
-        Number of quantized data pages processed.
+        Number of quantized data pages read (a store hit counts as a
+        read), whether or not the search needed to decode them.
     refinements:
         Number of third-level exact look-ups performed.
     certain:
@@ -393,6 +409,15 @@ def _nearest_impl(
 
     ties = _Ties(n_pages)
     heap = _page_entries(page_mindists)
+    # Quantized pages read but not yet processed: their entry and the
+    # tie block they reserved when read.
+    waiting: dict[int, tuple] = {}
+
+    def process(page: int, entry, page_ties: _Ties) -> None:
+        handle = tree._decode_entry(page, entry)
+        if handle.codes is not None:
+            quant_handles[page] = handle
+        _process_page(tree, query, handle, best, heap, page_ties)
 
     while heap and heap[0][0] <= best.bound():
         _dist, _t, kind, page, local, _run, _pos = _pop(heap)
@@ -402,21 +427,25 @@ def _nearest_impl(
                 quant_handles,
             )
             continue
-        if processed[page]:
-            continue
-        handles, lost = _load_pages(
-            tree, query, page, page_mindists, processed, best.bound(), k,
-            scheduler, quarantined,
-        )
-        for j in lost:
-            processed[j] = True
-            lost_pages.append(_lost_page(tree, query, j, page_mindists))
-        for handle in handles:
-            processed[handle.index] = True
-            pages_read += 1
-            if handle.codes is not None:
-                quant_handles[handle.index] = handle
-            _process_page(tree, query, handle, best, heap, ties)
+        if page not in waiting:
+            if processed[page]:
+                continue
+            entries, lost = _load_pages(
+                tree, query, page, page_mindists, processed, best.bound(),
+                k, scheduler, quarantined,
+            )
+            for j in lost:
+                processed[j] = True
+                lost_pages.append(_lost_page(tree, query, j, page_mindists))
+            for j, entry in entries.items():
+                processed[j] = True
+                pages_read += 1
+                if tree._bits[j] >= EXACT_BITS:
+                    process(j, entry, ties)
+                else:
+                    waiting[j] = (entry, _Ties(ties.take(_row_count(entry))))
+        if page in waiting:  # its turn is now (a pivot's, as it is read)
+            process(page, *waiting.pop(page))
 
     ids, dists = best.sorted_results()
     degraded = bool(intervals or lost_pages)
@@ -548,8 +577,10 @@ def _browse_impl(tree: IQTree, query: np.ndarray):
 # Internals
 # ----------------------------------------------------------------------
 def _process_page(tree, query, handle: PageHandle, best, heap, ties) -> None:
-    """Decode one page: exact pages update the result directly, coarser
-    pages enter the cells that survive the current bound as one run."""
+    """Bound one decoded page: an exact page offers its points to the
+    result directly; a quantized page enters the cells that survive the
+    current bound as one run, numbered from ``ties`` -- the block the
+    page reserved when it was read."""
     metric = tree.metric
     if handle.points is not None:
         dists = metric.distances(query, handle.points)
@@ -559,6 +590,15 @@ def _process_page(tree, query, handle: PageHandle, best, heap, ties) -> None:
     lower_b = quantizer.cell_mindist(query, handle.codes, metric)
     survivors = np.flatnonzero(lower_b <= best.bound())
     _push_run(heap, ties, _POINT, handle.index, lower_b[survivors], survivors)
+
+
+def _row_count(entry) -> int:
+    """Rows of a quantized page's entry, decoded or not (an undecoded
+    one's payload header holds its point count)."""
+    payload = entry.payload  # see IQTree._decode_entry for the order
+    if payload is not None:
+        return serializer.QUANT_PAGE_HEADER.unpack_from(payload)[0]
+    return entry.handle.codes.shape[0]
 
 
 def _plan_window(
@@ -639,8 +679,8 @@ def _load_pages(
     k: int,
     scheduler: str,
     quarantined: set[int],
-) -> tuple[list[PageHandle], list[int]]:
-    """Load a pivot page and the pages read with it.
+) -> tuple[dict, list[int]]:
+    """Read a pivot page and the pages read with it.
 
     A decoded-cache hit costs no I/O, so no window is planned around
     it.  Otherwise the standard scheduler reads the pivot alone and the
@@ -648,15 +688,18 @@ def _load_pages(
     pages split.  Under a fault context every read runs under its
     retry policy, and a window whose transfer faults out is re-read
     page by page, so a dead block costs one partition, not the whole
-    window.  Returns ``(handles, lost)``: the decoded pages and the
-    pages that could not be read; ``quarantined`` (the quarantined
-    quantized-level blocks) is kept in sync with the context.
+    window.  Returns ``(entries, lost)``: the
+    :class:`~repro.engine.page_cache.PageEntry` of every page read, by
+    page in read order -- published to the store undecoded; the caller
+    decodes a page when its turn comes -- and the pages that could not
+    be read; ``quarantined`` (the quarantined quantized-level blocks)
+    is kept in sync with the context.
     """
     cached = tree._cached_entry(pivot)
     if cached is not None:
-        return [cached.handle], []
+        return {pivot: cached}, []
     if pivot in quarantined:
-        return [], [pivot]
+        return {}, [pivot]
     to_process = [pivot]
     if scheduler == "optimized":
         first, last, to_process, _ = _plan_window(
@@ -670,31 +713,29 @@ def _load_pages(
                     first, last, wanted=len(to_process)
                 ),
             )
-            return [
-                tree._decode_page_payload(j, payloads[j - first])
+            return {
+                j: tree._store_payload(j, payloads[j - first])
                 for j in to_process
-            ], []
+            }, []
         except (ReadFaultError, IntegrityError) as exc:
             if not _recoverable(tree, exc):
                 raise
             quarantined |= _quarantined_pages(tree)
-    handles: list[PageHandle] = []
+    entries = {}
     lost: list[int] = []
     for j in to_process:
         if j not in quarantined:
             # The pivot's cache lookup has already missed above.
-            read = tree._read_page_uncached if j == pivot else tree._read_page
+            read = tree._read_entry if j == pivot else tree._page_entry
             try:
-                handles.append(
-                    _guarded(tree, lambda j=j, read=read: read(j))
-                )
+                entries[j] = _guarded(tree, lambda j=j, read=read: read(j))
                 continue
             except (ReadFaultError, IntegrityError) as exc:
                 if not _recoverable(tree, exc):
                     raise
                 quarantined |= _quarantined_pages(tree)
         lost.append(j)
-    return handles, lost
+    return entries, lost
 
 
 def _refine(

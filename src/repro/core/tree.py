@@ -769,13 +769,36 @@ class IQTree:
         if self.charge_directory and self._dir_file.n_blocks:
             self._dir_file.read_run(0, self._dir_file.n_blocks)
 
-    def _decode_page_payload(self, page: int, payload: bytes) -> PageHandle:
-        """Decode one page read by a single-query search and publish it
-        to the decoded-page cache, if one is attached."""
-        handle = decode_page(page, payload, self.dim)
-        if self._decoded_cache is not None:
-            self._decoded_cache.put(self, page, handle)
-        return handle
+    def _store_payload(self, page: int, payload: bytes):
+        """Publish a page a single-query search read, undecoded: to the
+        decoded-page store, if one is attached, else as a private entry.
+        Returns its :class:`~repro.engine.page_cache.PageEntry`."""
+        from repro.engine.page_cache import PageEntry
+
+        if self._decoded_cache is None:
+            return PageEntry(None, payload=payload)
+        return self._decoded_cache.put(self, page, None, payload=payload)
+
+    def _decode_entry(self, page: int, entry) -> PageHandle:
+        """The decoded handle of ``entry``, the entry of ``page``.
+
+        The one place a stored payload is decoded: an undecoded entry
+        is decoded in place on first use, and the attached store
+        re-counts its bytes.  Every consumer of an entry -- the
+        single-query search when the page's turn comes, its pivot and
+        window reads, and the batch loader's store hits -- calls this.
+        """
+        # A store entry may be decoded by another thread meanwhile; it
+        # gains its handle before it drops its payload, so a payload
+        # read first is still there when the handle is missing.
+        payload = entry.payload
+        if entry.handle is None:
+            handle = decode_page(page, payload, self.dim)
+            if self._decoded_cache is None:
+                entry.handle, entry.payload = handle, None
+            else:
+                self._decoded_cache.set_handle(page, entry, handle)
+        return entry.handle
 
     def _cached_entry(self, page: int):
         """The decoded-page cache's entry for ``page``, if any.
@@ -790,19 +813,21 @@ class IQTree:
         )
         return None if cache is None or quarantined else cache.get(self, page)
 
-    def _read_page(self, page: int) -> PageHandle:
-        """Random single-page read (the standard strategy)."""
-        cached = self._cached_entry(page)
-        if cached is not None:
-            return cached.handle
-        return self._read_page_uncached(page)
+    def _page_entry(self, page: int):
+        """The entry of ``page``: the store's, else one random
+        single-page read (the standard strategy)."""
+        entry = self._cached_entry(page)
+        return self._read_entry(page) if entry is None else entry
 
-    def _read_page_uncached(self, page: int) -> PageHandle:
-        """:meth:`_read_page` for a page whose decoded-cache lookup has
-        already missed: a second lookup would count a second miss."""
-        return self._decode_page_payload(
-            page, self._quant_file.read_block(page)
-        )
+    def _read_entry(self, page: int):
+        """Read ``page`` with one random access, undecoded, for a page
+        whose store lookup has already missed: a second lookup would
+        count a second miss."""
+        return self._store_payload(page, self._quant_file.read_block(page))
+
+    def _read_page(self, page: int) -> PageHandle:
+        """The decoded handle of ``page``, through the store."""
+        return self._decode_entry(page, self._page_entry(page))
 
     def _read_page_run(
         self, first: int, last: int, wanted: int

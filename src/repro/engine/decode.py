@@ -87,6 +87,9 @@ class PageDecodeCache:
         for page in need:
             entry = tree._cached_entry(page)
             if entry is not None:
+                # A page a single query read but never needed is stored
+                # undecoded; it is decoded here, in place, once.
+                tree._decode_entry(page, entry)
                 self._entries[page] = entry
                 self.pages_cached += 1
         need = [page for page in need if page not in self._entries]

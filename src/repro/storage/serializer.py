@@ -36,6 +36,7 @@ __all__ = [
     "encode_quantized_page",
     "encode_pq_page",
     "decode_quantized_page",
+    "decoded_page_nbytes",
     "encode_exact_record",
     "decode_exact_record",
     "quantized_page_capacity",
@@ -204,6 +205,24 @@ def decode_quantized_page(
         return coords.reshape(m, dim).astype(np.float64), bits, ids, None
     codes = unpack_codes(body, bits, m, dim)
     return codes, bits, None, None
+
+
+def decoded_page_nbytes(payload: bytes, dim: int) -> int:
+    """Bytes of the arrays :func:`decode_quantized_page` makes of
+    ``payload`` -- uint32 codes, float64 coordinates and int64 ids, or a
+    PQ page's selectors and float64 codebook -- read from its headers
+    without decoding it."""
+    m, bits, codec = QUANT_PAGE_HEADER.unpack_from(payload)
+    from repro.quantization.codecs import CODEC_PQ, PQ_SUBHEADER
+
+    if codec == CODEC_PQ:
+        n_sub, _reserved, k = PQ_SUBHEADER.unpack_from(
+            payload, QUANT_PAGE_HEADER.size
+        )
+        return 4 * m * n_sub + 2 * 8 * k * dim
+    if bits == 32:
+        return 8 * m * dim + 8 * m
+    return 4 * m * dim
 
 
 def encode_exact_record(points: np.ndarray, ids: np.ndarray) -> bytes:

@@ -210,3 +210,42 @@ class TestRecordedAccessProbabilities:
         warm, windows = self.explain_with_spies(tree, query, 3, monkeypatch)
         assert windows == []
         assert all(d.access_probability is None for d in warm.decisions)
+
+
+class TestDecodedPages:
+    """Reading a page and decoding it are separate decisions: a page
+    the window read whose turn never came is wasted I/O, and the
+    telemetry says which."""
+
+    @pytest.fixture
+    def pq_tree(self):
+        from repro.datasets import gaussian_clusters
+
+        data = gaussian_clusters(
+            n=3000, seed=7, dim=12, n_clusters=60, spread=1e-3
+        )
+        return IQTree.build(data, codec="pq"), data
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_undecoded_reads_lie_beyond_the_kth_distance(self, pq_tree, k):
+        tree, data = pq_tree
+        wasted = 0
+        for query in data[::500] + 1e-3:
+            explanation = explain_query(tree, query, k=k)
+            kth = explanation.result_distances[-1]
+            for d in explanation.decisions:
+                if d.outcome == "pruned":
+                    assert not d.decoded
+                elif not d.decoded:
+                    # Its entry never popped: the search stopped first.
+                    assert d.mindist > kth
+                    wasted += 1
+        assert wasted > 0
+
+    def test_decoded_count_in_summary(self, pq_tree):
+        tree, data = pq_tree
+        explanation = explain_query(tree, data[0] + 1e-3, k=3)
+        assert 0 < explanation.pages_decoded < explanation.pages_read
+        assert f"{explanation.pages_decoded} decoded" in (
+            explanation.summary()
+        )

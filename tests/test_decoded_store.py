@@ -11,6 +11,9 @@ kernels read.  These tests pin what that design promises:
 * the store's resident bytes are the bytes of every array its entries
   hold, column block and page box included, and a warm batch derives no
   cell boxes at all;
+* a page a single query read but never needed is stored undecoded: it
+  counts its payload, is charged against the budget what it holds once
+  decoded, and is decoded in place by whichever query needs it;
 * the resident-bytes gauge is the sum over every attached store, so a
   sharded router's per-shard stores add up.
 """
@@ -18,6 +21,8 @@ kernels read.  These tests pin what that design promises:
 from __future__ import annotations
 
 import contextlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -30,6 +35,7 @@ from repro.geometry.mbr import mindist_to_boxes
 from repro.obs.instruments import DECODED_CACHE_BYTES, REGISTRY
 from repro.quantization.codecs import PQView
 from repro.quantization.grid import GridQuantizer
+from repro.storage import serializer
 from repro.storage.disk import DiskModel, SimulatedDisk
 from repro.storage.runtime_faults import ReadFaultInjector, RetryPolicy
 
@@ -254,6 +260,149 @@ class TestAccountingAndDerivation:
         assert [a.tobytes() for a in warm.rows] == [
             a.tobytes() for a in cold.rows
         ]
+
+
+# ----------------------------------------------------------------------
+# Undecoded entries: pages read by single queries, decoded on demand
+# ----------------------------------------------------------------------
+def held_bytes(entry) -> int:
+    """What ``entry`` holds: its payload until it is decoded."""
+    return len(entry.payload) if entry.handle is None else (
+        expected_bytes(entry)
+    )
+
+
+def undecoded_pages(store) -> list[int]:
+    return [p for p, e in store._entries.items() if e.handle is None]
+
+
+class TestUndecodedEntries:
+    @pytest.mark.parametrize("codec", ["grid", "pq"])
+    def test_accounting_after_single_queries_and_batches(self, codec):
+        tree = build(codec)
+        store = tree.use_decoded_cache(1 << 30)
+        rng = np.random.default_rng(13)
+        queries = tree.points[rng.integers(0, tree.n_points, 8)] + 0.01
+        engine = QueryEngine(tree)
+        for q in queries[:4]:
+            tree.nearest(q, k=4)
+        engine.knn_batch(queries[4:6], k=4)
+        tree.nearest(queries[6], k=4, scheduler="standard")
+        tree.range_query(queries[7], 0.05)
+        assert undecoded_pages(store)
+        assert len(undecoded_pages(store)) < len(store)
+        assert store.current_bytes == sum(
+            held_bytes(e) for e in store._entries.values()
+        )
+        for page, entry in store._entries.items():
+            assert entry.nbytes == held_bytes(entry)
+            payload = tree._quant_file.peek_block(page)
+            assert entry.charge == (
+                serializer.decoded_page_nbytes(payload, DIM)
+                + sum(a.nbytes for a in entry.bounds or ())
+            )
+        assert store.charged_bytes == sum(
+            e.charge for e in store._entries.values()
+        )
+        assert store.current_bytes < store.charged_bytes
+
+    def test_decoding_in_place_recounts_and_keeps_lru_order(self):
+        tree = build("pq")
+        store = tree.use_decoded_cache(1 << 30)
+        tree.nearest(tree.points[0] + 0.01, k=4)
+        page = undecoded_pages(store)[0]
+        entry = store._entries[page]
+        order, before = list(store._entries), store.current_bytes
+        evictions, charged = store.evictions, store.charged_bytes
+        handle = tree._decode_entry(page, entry)
+        assert entry.handle is handle and entry.payload is None
+        assert entry.nbytes == expected_bytes(entry) == entry.charge
+        assert store.current_bytes == before + entry.nbytes - len(
+            tree._quant_file.peek_block(page)
+        )
+        assert store.charged_bytes == charged
+        assert store.evictions == evictions
+        assert list(store._entries) == order
+        # A second decode is a no-op.
+        assert tree._decode_entry(page, entry) is handle
+        assert store.current_bytes == sum(
+            held_bytes(e) for e in store._entries.values()
+        )
+
+    @pytest.mark.parametrize("codec", ["grid", "pq"])
+    def test_batch_hitting_undecoded_entries_matches_storeless(self, codec):
+        plain, stored = build(codec), build(codec)
+        store = stored.use_decoded_cache(1 << 30)
+        rng = np.random.default_rng(14)
+        queries = stored.points[rng.integers(0, stored.n_points, 6)] + 0.01
+        for q in queries:
+            stored.nearest(q, k=4)
+        undecoded = set(undecoded_pages(store))
+        got = QueryEngine(stored).knn_batch(queries, k=4)
+        want = QueryEngine(plain).knn_batch(queries, k=4)
+        assert answers(got) == answers(want)
+        # The batch decoded stored payloads in place.
+        assert got.stats.decoded_pages_reused > 0
+        assert undecoded - set(undecoded_pages(store))
+
+    def test_threads_decoding_shared_entries(self):
+        """Single queries on threads share one store: each undecoded
+        entry is decoded in place once, under races, and the byte
+        counts stay the sums of what the entries hold."""
+        tree = build("pq")
+        rng = np.random.default_rng(15)
+        queries = tree.points[rng.integers(0, tree.n_points, 6)] + 0.01
+        want = [tree.nearest(q, k=4).ids.tolist() for q in queries]
+        store = tree.use_decoded_cache(1 << 30)
+        results: list = []
+        errors: list = []
+
+        def worker(offset):
+            try:
+                for i in range(12):
+                    j = (i + offset) % len(queries)
+                    got = tree.nearest(queries[j], k=4).ids.tolist()
+                    results.append(got == want[j])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 48 and all(results)
+        assert store.current_bytes == sum(
+            held_bytes(e) for e in store._entries.values()
+        )
+        assert store.charged_bytes == sum(
+            e.charge for e in store._entries.values()
+        )
+
+    @pytest.mark.parametrize("codec", ["grid", "pq"])
+    def test_decoded_size_read_from_the_header(self, codec):
+        from repro.core.tree import decode_page
+        from repro.engine.page_cache import PageEntry, _entry_bytes
+
+        tree = build(codec)
+        kinds = set()
+        for page in range(tree.n_pages):
+            payload = tree._quant_file.peek_block(page)
+            handle = decode_page(page, payload, DIM)
+            kinds.add((handle.points is None, handle.aux is None))
+            assert serializer.decoded_page_nbytes(payload, DIM) == (
+                _entry_bytes(PageEntry(handle))
+            )
+        assert len(kinds) == 2  # exact pages and quantized ones
 
 
 # ----------------------------------------------------------------------
