@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from repro import obs
+from repro import chaos, obs
 from repro.core.tree import IQTree
 from repro.storage.persistence import (
     load_iqtree,
@@ -67,13 +67,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.point:
         queries = [np.array([float(x) for x in args.point.split(",")])]
     else:
-        rng = np.random.default_rng(args.seed)
-        lo = tree.points.min(axis=0)
-        hi = tree.points.max(axis=0)
-        queries = [
-            lo + rng.random(tree.dim) * (hi - lo)
-            for _ in range(args.random)
-        ]
+        queries = _random_queries(tree, args.random, args.seed)
     for query in queries:
         result = tree.nearest(query, k=args.k)
         pairs = ", ".join(
@@ -93,6 +87,26 @@ def _random_queries(tree, count: int, seed: int) -> np.ndarray:
     lo = tree.points.min(axis=0)
     hi = tree.points.max(axis=0)
     return lo + rng.random((count, tree.dim)) * (hi - lo)
+
+
+def _router(args: argparse.Namespace, tree, kill=(), **options):
+    """A ShardRouter over ``args.shards`` shards of ``tree`` with
+    ``args.workers`` workers, the shards listed in ``kill`` taken down."""
+    from repro.engine import ShardRouter
+
+    router = ShardRouter(
+        tree, shards=args.shards, workers=args.workers, **options
+    )
+    for index in kill:
+        if not 0 <= index < router.n_shards:
+            router.close()
+            raise SystemExit(
+                f"shard index {index} out of range (router has "
+                f"{router.n_shards} shards; the count clamps to the "
+                f"page count)"
+            )
+        router.kill_shard(index)
+    return router
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -156,24 +170,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _batch_sharded(args: argparse.Namespace, tree, queries) -> int:
     """Run the batch scatter-gather through a ShardRouter."""
-    from repro.engine import ShardRouter
-
-    router = ShardRouter(
+    router = _router(
+        args,
         tree,
-        shards=args.shards,
-        workers=args.workers,
+        args.kill_shard or (),
         backend=args.backend,
         pool=args.pool,
         decode_cache=args.decode_cache,
     )
-    for index in args.kill_shard or ():
-        if not 0 <= index < router.n_shards:
-            raise SystemExit(
-                f"--kill-shard index {index} out of range (router has "
-                f"{router.n_shards} shards; the count clamps to the "
-                f"page count)"
-            )
-        router.kill_shard(index)
     if args.radius is not None:
         result = router.range_batch(queries, args.radius)
         kind = f"range r={args.radius}"
@@ -293,15 +297,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     queries = _random_queries(tree, args.random, args.seed)
     router = None
     if args.shards is not None:
-        from repro.engine import ShardRouter
-
-        router = ShardRouter(
-            tree,
-            shards=args.shards,
-            workers=args.workers,
-            backend=args.backend,
-            pool=args.pool,
-        )
+        router = _router(args, tree, backend=args.backend, pool=args.pool)
         target = router
         name = f"knn-batch k={args.k} shards={router.n_shards}"
     else:
@@ -364,16 +360,7 @@ def _cmd_flight(args: argparse.Namespace) -> int:
         top_slow=args.top_slow,
     )
     if args.shards is not None:
-        from repro.engine import ShardRouter
-
-        router = ShardRouter(tree, shards=args.shards, workers=args.workers)
-        for index in args.kill_shard or ():
-            if not 0 <= index < router.n_shards:
-                raise SystemExit(
-                    f"--kill-shard index {index} out of range "
-                    f"(router has {router.n_shards} shards)"
-                )
-            router.kill_shard(index)
+        router = _router(args, tree, args.kill_shard or ())
         router.use_flight_recorder(recorder)
         try:
             router.knn_batch(queries, k=args.k)
@@ -404,595 +391,61 @@ def _cmd_flight(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHAOS_KINDS = ("transient", "persistent", "corrupt")
-_CHAOS_LEVELS = ("quantized", "exact")
-
-
-def _chaos_schedule(injector, kind: str, address: int) -> None:
-    if kind == "transient":
-        injector.fail_once(address)
-    elif kind == "persistent":
-        injector.fail_always(address)
-    else:  # corrupt: silent payload damage, caught by the CRC sidecar
-        injector.corrupt_always(address)
-
-
-def _chaos_check(tree, query, result, base, kind: str) -> list[str]:
-    """Verify one degraded-mode result against the robustness contract."""
-    problems: list[str] = []
-    metric = tree.metric
-    if kind == "transient" and result.degraded:
-        problems.append("transient fault did not retry to an exact answer")
-    if not result.degraded:
-        same = result.ids.tolist() == base.ids.tolist() and np.allclose(
-            result.distances, base.distances, atol=1e-9
-        )
-        if not same:
-            problems.append("non-degraded result differs from baseline")
-        return problems
-    intervals = result.intervals or {}
-    for pos, pid in enumerate(result.ids.tolist()):
-        true_dist = metric.distance(query, tree.points[pid])
-        if result.certain is not None and result.certain[pos]:
-            if abs(result.distances[pos] - true_dist) > 1e-9:
-                problems.append(
-                    f"certain result {pid} reports a wrong distance"
-                )
-        elif pid in intervals:
-            lo, hi = intervals[pid]
-            if not (lo - 1e-9 <= true_dist <= hi + 1e-9):
-                problems.append(
-                    f"interval [{lo:.4f}, {hi:.4f}] of point {pid} "
-                    f"misses its true distance {true_dist:.4f}"
-                )
-    return problems
-
-
-def _chaos_run(
-    tree, queries, k, radius, kind, level, address, policy, baseline
-):
-    """Execute the query workload under one fault schedule."""
-    from repro.storage.faults import ReadFaultInjector
-
-    injector = ReadFaultInjector()
-    _chaos_schedule(injector, kind, address)
-    tree.disk.install_fault_injector(injector)
-    ctx = tree.use_fault_tolerance(policy)
-    # Flight recorder in chaos-verification mode: relative slow capture
-    # off, so every record is a degraded/faulted postmortem we can
-    # count against the observed results.
-    recorder = tree.use_flight_recorder(
-        obs.FlightRecorder(capacity=4096, top_slow=0)
-    )
-    problems: list[str] = []
-    degraded = lost = 0
-    try:
-        for i, query in enumerate(queries):
-            result = tree.nearest(query, k=k)
-            problems.extend(
-                _chaos_check(tree, query, result, baseline[("knn", i)], kind)
-            )
-            degraded += bool(result.degraded)
-            lost += len(result.lost_pages)
-            if radius is not None:
-                rresult = tree.range_query(query, radius)
-                problems.extend(
-                    _chaos_check(
-                        tree, query, rresult, baseline[("range", i)], kind
-                    )
-                )
-                degraded += bool(rresult.degraded)
-                lost += len(rresult.lost_pages)
-    except Exception as exc:  # noqa: BLE001 -- no schedule may crash
-        problems.append(f"workload crashed: {type(exc).__name__}: {exc}")
-    finally:
-        tree.disk.clear_fault_injector()
-        tree.clear_fault_tolerance()
-        tree.clear_flight_recorder()
-    if kind == "transient" and ctx.retries == 0:
-        problems.append("transient schedule never triggered a retry")
-    if kind != "transient" and not (degraded or lost):
-        problems.append(f"{kind} schedule degraded no result")
-    flight_degraded = len(recorder.records("degraded"))
-    if flight_degraded != degraded:
-        problems.append(
-            f"flight recorder captured {flight_degraded} degraded "
-            f"records but the workload observed {degraded} degraded "
-            f"results"
-        )
-    if (ctx.retries or ctx.quarantined) and not recorder.records("faulted"):
-        problems.append(
-            "fault tolerance retried/quarantined but the flight "
-            "recorder captured no faulted record"
-        )
-    counters = (ctx.retries, ctx.quarantined, ctx.degraded_results, ctx.lost_pages)
-    return problems, degraded, lost, counters
-
-
-def _chaos_sharded(args: argparse.Namespace, tree, queries, k) -> int:
-    """Shard-kill chaos: degraded answers must contain the truth.
-
-    Kills the requested shards of a ShardRouter, then verifies for
-    every query that (a) each true neighbor is either returned exactly
-    or covered by a reported lost page whose ``[mindist, maxdist]``
-    interval contains its true distance, (b) results flagged certain
-    carry exact distances, and (c) after reviving every shard the
-    answers match the pristine single-tree baseline bit-exactly.
-    Returns non-zero when any check fails.
-    """
-    from repro.engine import ShardRouter
-
-    kill = [int(s) for s in args.kill_shards.split(",") if s != ""]
-    baseline = tree.query_engine().knn_batch(queries, k=k)
-    router = ShardRouter(tree, shards=args.shards, workers=args.workers)
-    for index in kill:
-        if not 0 <= index < router.n_shards:
-            raise SystemExit(
-                f"--kill-shards index {index} out of range "
-                f"(router has {router.n_shards} shards)"
-            )
-        router.kill_shard(index)
-    recorder = router.use_flight_recorder(
-        obs.FlightRecorder(capacity=4096, top_slow=0)
-    )
-    try:
-        degraded_run = router.knn_batch(queries, k=k)
-    finally:
-        router.clear_flight_recorder()
-
-    problems: list[str] = []
-    metric = tree.metric
-    n_degraded = sum(1 for r in degraded_run if r.degraded)
-    for i, (base, got) in enumerate(zip(baseline, degraded_run)):
-        got_ids = set(got.ids.tolist())
-        for pid, dist in zip(base.ids.tolist(), base.distances.tolist()):
-            if pid in got_ids:
-                continue
-            page = router.page_of(pid)
-            covered = any(
-                lp.page == page
-                and lp.mindist - 1e-9 <= dist <= lp.maxdist + 1e-9
-                for lp in got.lost_pages
-            )
-            if not covered:
-                problems.append(
-                    f"query {i}: true neighbor {pid} (d={dist:.4f}, "
-                    f"page {page}) neither returned nor covered by a "
-                    f"lost-page bound"
-                )
-        if got.certain is not None:
-            for pos, pid in enumerate(got.ids.tolist()):
-                if not got.certain[pos]:
-                    continue
-                true_dist = metric.distance(queries[i], tree.points[pid])
-                if abs(got.distances[pos] - true_dist) > 1e-9:
-                    problems.append(
-                        f"query {i}: certain result {pid} reports a "
-                        f"wrong distance"
-                    )
-    if kill and not n_degraded:
-        problems.append("shard kill degraded no result")
-    flight_degraded = len(recorder.records("degraded"))
-    if flight_degraded != n_degraded:
-        problems.append(
-            f"flight recorder captured {flight_degraded} degraded "
-            f"records but the batch observed {n_degraded} degraded "
-            f"queries"
-        )
-
-    for index in kill:
-        router.revive_shard(index)
-    revived = router.knn_batch(queries, k=k)
-    for i, (base, got) in enumerate(zip(baseline, revived)):
-        if base.ids.tolist() != got.ids.tolist() or not np.allclose(
-            base.distances, got.distances, atol=1e-12
-        ):
-            problems.append(
-                f"query {i}: revived router differs from baseline"
-            )
-    router.close()
-
-    verdict = "FAIL" if problems else "ok"
-    print(
-        f"  shard-kill {kill} / {args.shards} shards: {verdict}  "
-        f"[{n_degraded} degraded / "
-        f"{degraded_run.stats.lost_pages} lost-page reports, "
-        f"{degraded_run.routing.skipped} visits pruned]"
-    )
-    for problem in problems:
-        print(f"      !! {problem}")
-    print(f"chaos verdict: {'FAIL' if problems else 'PASS'}")
-    return 1 if problems else 0
-
-
-def _write_ops_script(tree, n_ops: int, seed: int):
-    """Deterministic insert/delete script for the write-chaos matrix.
-
-    Roughly one delete per four inserts, deleting only ids this script
-    created earlier -- so any acked prefix of the script is replayable
-    on a pristine copy of the index.
-    """
-    rng = np.random.default_rng(seed)
-    base = tree.n_points
-    ops: list[tuple] = []
-    created = 0
-    live: list[int] = []
-    for i in range(n_ops):
-        if live and i % 4 == 3:
-            victim = live.pop(int(rng.integers(len(live))))
-            ops.append(("delete", victim))
-        else:
-            point = (
-                rng.random(tree.dim).astype(np.float32).astype(np.float64)
-            )
-            ops.append(("insert", point))
-            live.append(base + created)
-            created += 1
-    return ops
-
-
-def _apply_write_op(store, op) -> None:
-    if op[0] == "insert":
-        store.insert(op[1])
-    else:
-        store.delete(op[1])
-
-
-def _write_answers(tree, queries, k):
-    tree._ensure_clean()
-    return [tree.nearest(q, k=k) for q in queries]
-
-
-def _compare_write_answers(want, got) -> list[str]:
-    problems = []
-    for i, (w, g) in enumerate(zip(want, got)):
-        if not np.array_equal(w.ids, g.ids):
-            problems.append(f"query {i}: recovered ids differ")
-        elif not np.array_equal(w.distances, g.distances):
-            problems.append(f"query {i}: recovered distances differ")
-    return problems
-
-
-def _chaos_writes(args: argparse.Namespace) -> int:
-    """Crash the write path at every protocol boundary and verify that
-    recovery is bit-identical to a crash-free replay of exactly the
-    acknowledged operations; then race background re-quantization
-    against query batches and demand unchanged answers."""
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from repro.core.maintenance import MaintenanceManager
-    from repro.core.optimizer import OptimizedPartition
-    from repro.engine.engine import QueryEngine
-    from repro.engine.sharding import ShardRouter
-    from repro.exceptions import IntegrityError
-    from repro.storage.faults import FaultInjector, PowerLoss
-    from repro.storage.journal import (
-        CRASH_POINTS,
-        DurableTree,
-        record_spans,
-        wal_path,
-    )
-
-    source = load_iqtree(args.index)
-    queries = _random_queries(source, args.random, args.seed)
-    k = min(args.k, source.n_points)
-    ops = _write_ops_script(source, args.ops, args.seed)
-    crash_at = len(ops) // 2
-    checkpoint_every = args.checkpoint_every
-    group_commit = args.group_commit
-    failed = False
-    print(
-        f"chaos (writes): {len(ops)} ops, crash at op {crash_at}, "
-        f"checkpoint every {checkpoint_every}, group commit "
-        f"{group_commit}, {len(queries)} probe queries, k={k}"
-    )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-
-        def fresh_store(name):
-            path = tmp / f"{name}.iq"
-            shutil.copy(args.index, path)
-            # Drop any journal sidecar left by an earlier scenario.
-            wal_path(path).unlink(missing_ok=True)
-            return DurableTree.open(
-                path, fsync=False, group_commit=group_commit
-            )
-
-        def run_prefix(store, n, checkpoints=True):
-            for i in range(n):
-                _apply_write_op(store, ops[i])
-                if checkpoints and (i + 1) % checkpoint_every == 0:
-                    store.checkpoint()
-
-        def reference_answers(n_acked):
-            ref = fresh_store("reference")
-            for i in range(n_acked):
-                _apply_write_op(ref, ops[i])
-            return _write_answers(ref.tree, queries, k)
-
-        # ---- crash matrix: every protocol boundary --------------------
-        scenarios: list[tuple[str, dict]] = [
-            (point, {"crash_point": point}) for point in CRASH_POINTS
-        ]
-        scenarios += [
-            (f"torn-append[{budget}]", {"torn_append": budget})
-            for budget in (1, 6, 18)
-        ]
-        scenarios += [
-            (f"torn-checkpoint[{budget}]", {"torn_checkpoint": budget})
-            for budget in (1, 512)
-        ]
-        for name, spec in scenarios:
-            store = fresh_store("victim")
-            run_prefix(store, crash_at)
-            point = spec.get("crash_point")
-            if point is not None:
-                store.inject_crash(point)
-            if "torn_append" in spec:
-                store.inject_torn_append(spec["torn_append"])
-            if "torn_checkpoint" in spec:
-                store.inject_torn_checkpoint(spec["torn_checkpoint"])
-            crashed = False
-            index = crash_at
-            checkpoint_crash = "torn_checkpoint" in spec or (
-                point is not None and point.startswith("checkpoint")
-            )
-            try:
-                if checkpoint_crash:
-                    store.checkpoint()
-                else:
-                    # Crash inside the next scripted op of the type the
-                    # boundary names (torn appends hit whatever is next).
-                    wanted = (
-                        point.split(":")[0] if point is not None else None
-                    )
-                    while wanted is not None and ops[index][0] != wanted:
-                        _apply_write_op(store, ops[index])
-                        index += 1
-                    _apply_write_op(store, ops[index])
-            except PowerLoss:
-                crashed = True
-            if not crashed:
-                failed = True
-                print(f"  {name:22s}: FAIL  !! injected crash never fired")
-                continue
-            store.close()
-            # Acked = everything applied before the crash, plus the
-            # crashed op iff its journal append completed (post-append).
-            if checkpoint_crash:
-                n_acked = index
-            elif point is not None and point.endswith("post-append"):
-                n_acked = index + 1
-            else:  # pre-append or torn append: never acknowledged
-                n_acked = index
-            recovered = DurableTree.open(store.path, fsync=False)
-            got = _write_answers(recovered.tree, queries, k)
-            problems = _compare_write_answers(
-                reference_answers(n_acked), got
-            )
-            verdict = "FAIL" if problems else "ok"
-            print(
-                f"  {name:22s}: {verdict}  "
-                f"[{n_acked} acked, {recovered.recovered_ops} replayed]"
-            )
-            for problem in problems:
-                failed = True
-                print(f"      !! {problem}")
-
-        # ---- at-rest corruption of an acked record is loud ------------
-        store = fresh_store("victim")
-        run_prefix(store, crash_at, checkpoints=False)
-        store.close()
-        spans = record_spans(wal_path(store.path))
-        start, stop, _seq = spans[len(spans) // 2]
-        FaultInjector(wal_path(store.path)).flip_bit(start + 12)
-        try:
-            DurableTree.open(store.path, fsync=False)
-        except IntegrityError:
-            print("  corrupt-acked-record   : ok  [recovery raised]")
-        else:
-            failed = True
-            print(
-                "  corrupt-acked-record   : FAIL  "
-                "!! silent recovery over corrupted acked data"
-            )
-
-    # ---- concurrent maintenance: sweeps must be invisible -------------
-    def churn_batches(run_batch, tree, rounds=4):
-        import threading
-
-        mgr = MaintenanceManager(tree, baseline="current")
-        victim = int(np.argmax(tree._bits < 32))
-        fine = int(tree._bits[victim])
-        if fine >= 32 or fine <= 2:
-            return None, 0  # nothing to requantize on this index
-        stop = threading.Event()
-        errors: list[BaseException] = []
-        sweeps = [0]
-
-        def churn():
-            while not stop.is_set():
-                try:
-                    with tree._write_lock:
-                        opt = tree._partitions[victim]
-                        # Only coarsen quantized pages (an exact page
-                        # has no refinement sidecar to decode against).
-                        if 32 > opt.bits >= fine:
-                            mgr._replace_page(
-                                victim,
-                                OptimizedPartition(opt.partition, fine - 2),
-                            )
-                    if not mgr.maybe_sweep().noop:
-                        sweeps[0] += 1
-                except BaseException as exc:  # pragma: no cover
-                    errors.append(exc)
-                    return
-
-        thread = threading.Thread(target=churn)
-        thread.start()
-        try:
-            results = [run_batch() for _ in range(rounds)]
-        finally:
-            stop.set()
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results, sweeps[0]
-
-    qmatrix = np.asarray(queries)
-    problems = []
-
-    engine_tree = load_iqtree(args.index)
-    engine = QueryEngine(engine_tree, workers=2, backend=args.backend)
-    try:
-        want = engine.knn_batch(qmatrix, k=k)
-        got_all, sweeps = churn_batches(
-            lambda: engine.knn_batch(qmatrix, k=k), engine_tree
-        )
-        for got in got_all or []:
-            for i, (w, g) in enumerate(zip(want, got)):
-                if not np.array_equal(w.ids, g.ids) or not np.array_equal(
-                    w.distances, g.distances
-                ):
-                    problems.append(
-                        f"engine query {i} changed under maintenance"
-                    )
-    finally:
-        engine.close()
-    verdict = "FAIL" if problems else "ok"
-    print(
-        f"  maintenance x engine[{engine.backend}]: {verdict}  "
-        f"[{sweeps} sweeps raced]"
-    )
-
-    shard_problems = []
-    shard_tree = load_iqtree(args.index)
-    router = ShardRouter(
-        shard_tree, shards=2, workers=2, backend=args.backend
-    )
-    try:
-        want = router.knn_batch(qmatrix, k=k)
-        got_all, shard_sweeps = churn_batches(
-            lambda: router.knn_batch(qmatrix, k=k),
-            router.shards[0].tree,
-        )
-        for got in got_all or []:
-            for i, (w, g) in enumerate(zip(want, got)):
-                if not np.array_equal(w.ids, g.ids) or not np.array_equal(
-                    w.distances, g.distances
-                ):
-                    shard_problems.append(
-                        f"sharded query {i} changed under maintenance"
-                    )
-    finally:
-        router.close()
-    verdict = "FAIL" if shard_problems else "ok"
-    print(
-        f"  maintenance x sharded:  {verdict}  "
-        f"[{shard_sweeps} sweeps raced]"
-    )
-    for problem in problems + shard_problems:
-        failed = True
-        print(f"      !! {problem}")
-
-    print(f"chaos verdict: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
+def _names(text: str, allowed, what: str) -> list[str]:
+    """The comma-separated names of ``text``, each one of ``allowed``."""
+    names = [s for s in text.split(",") if s]
+    for name in names:
+        if name not in allowed:
+            raise SystemExit(f"unknown {what} {name!r}")
+    return names
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.search import locate_address
-    from repro.storage.faults import ReadFaultInjector, RetryPolicy
-
-    if args.writes:
-        return _chaos_writes(args)
     tree = load_iqtree(args.index)
     queries = _random_queries(tree, args.random, args.seed)
     k = min(args.k, tree.n_points)
-    if args.shards is not None:
-        print(
-            f"chaos (sharded): {len(queries)} queries, k={k}, "
-            f"{args.shards} shards, killing {args.kill_shards or 'none'}"
+    if args.writes:
+        report = chaos.write_matrix(
+            args.index,
+            queries,
+            k,
+            chaos.write_script(tree, args.ops, args.seed),
+            checkpoint_every=args.checkpoint_every,
+            group_commit=args.group_commit,
+            backend=args.backend,
         )
-        return _chaos_sharded(args, tree, queries, k)
-    kinds = [s for s in args.kinds.split(",") if s]
-    levels = [s for s in args.levels.split(",") if s]
-    for kind in kinds:
-        if kind not in _CHAOS_KINDS:
-            raise SystemExit(f"unknown fault kind {kind!r}")
-    for level in levels:
-        if level not in _CHAOS_LEVELS:
-            raise SystemExit(f"unknown level {level!r}")
-    policy = RetryPolicy(max_attempts=args.retries, backoff_seeks=1)
-
-    # Baseline answers on the pristine tree, keyed by query position.
-    baseline: dict[tuple[str, int], object] = {}
-    for i, query in enumerate(queries):
-        baseline[("knn", i)] = tree.nearest(query, k=k)
-        if args.radius is not None:
-            baseline[("range", i)] = tree.range_query(query, args.radius)
-
-    # Oracle pass: a schedule-free injector observes every timed read,
-    # telling us which addresses each level actually touches.
-    observer = ReadFaultInjector()
-    tree.disk.install_fault_injector(observer)
-    for query in queries:
-        tree.nearest(query, k=k)
-        if args.radius is not None:
-            tree.range_query(query, args.radius)
-    tree.disk.clear_fault_injector()
-    victims: dict[str, int] = {}
-    for address in sorted(observer.attempts_seen):
-        level, _local = locate_address(tree, address)
-        if level is not None:
-            victims.setdefault(level, address)
-
-    print(
-        f"chaos: {len(queries)} queries, k={k}"
-        + (f", radius={args.radius}" if args.radius is not None else "")
-        + f", retry limit {policy.max_attempts}"
-    )
-    failed = False
-    for level in levels:
-        if level not in victims:
-            print(f"  {level:9s}: no reads observed, skipping")
-            continue
-        address = victims[level]
-        for kind in kinds:
-            problems, degraded, lost, counters = _chaos_run(
-                tree, queries, k, args.radius, kind, level, address,
-                policy, baseline,
-            )
-            verdict = "FAIL" if problems else "ok"
-            print(
-                f"  {kind:10s} x {level:9s} (block {address}): "
-                f"{verdict}  retries={counters[0]} "
-                f"quarantined={counters[1]} degraded={counters[2]} "
-                f"lost_pages={counters[3]} "
-                f"[{degraded} degraded / {lost} lost-page reports]"
-            )
-            for problem in problems:
-                failed = True
-                print(f"      !! {problem}")
-
-    # A chaos run must not poison later fault-free queries.
-    clean_problems: list[str] = []
-    for i, query in enumerate(queries):
-        result = tree.nearest(query, k=k)
-        clean_problems.extend(
-            _chaos_check(tree, query, result, baseline[("knn", i)], "transient")
-        )
-    if clean_problems:
-        failed = True
-        print("post-chaos pristine check: FAIL")
-        for problem in clean_problems:
-            print(f"      !! {problem}")
+    elif args.shards is not None:
+        kill = [int(s) for s in args.kill_shards.split(",") if s != ""]
+        with _router(args, tree, kill) as router:
+            report = chaos.shard_kill(tree, router, queries, k)
     else:
-        print("post-chaos pristine check: ok (matches baseline)")
-    print(f"chaos verdict: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
+        report = chaos.read_matrix(
+            tree,
+            queries,
+            k,
+            radius=args.radius,
+            kinds=_names(args.kinds, chaos.KINDS, "fault kind"),
+            levels=_names(args.levels, chaos.LEVELS, "level"),
+            retries=args.retries,
+        )
+    for line in report.lines:
+        print(line)
+    print(f"chaos verdict: {report.verdict}")
+    return 1 if report.failed else 0
+
+
+def _workload_parser(sub, name, func, help, *, random, random_help, k):
+    """A subcommand over a saved index that runs ``--random`` seeded
+    queries (see :func:`_random_queries`) with ``--k`` neighbors."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("index")
+    parser.add_argument(
+        "--random", type=int, default=random, help=random_help
+    )
+    parser.add_argument("--k", type=int, default=k)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1032,32 +485,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build.set_defaults(func=_cmd_build)
 
-    query = sub.add_parser("query", help="run nearest-neighbor queries")
-    query.add_argument("index")
+    query = _workload_parser(
+        sub, "query", _cmd_query, "run nearest-neighbor queries",
+        random=1, random_help="number of random queries when --point "
+        "is absent", k=1,
+    )
     query.add_argument(
         "--point", help="comma-separated query coordinates"
     )
-    query.add_argument(
-        "--random",
-        type=int,
-        default=1,
-        help="number of random queries when --point is absent",
-    )
-    query.add_argument("--k", type=int, default=1)
-    query.add_argument("--seed", type=int, default=0)
-    query.set_defaults(func=_cmd_query)
 
-    batch = sub.add_parser(
-        "batch", help="run a query batch through the shared-buffer engine"
+    batch = _workload_parser(
+        sub, "batch", _cmd_batch,
+        "run a query batch through the shared-buffer engine",
+        random=10, random_help="number of random queries in the batch",
+        k=1,
     )
-    batch.add_argument("index")
-    batch.add_argument(
-        "--random",
-        type=int,
-        default=10,
-        help="number of random queries in the batch",
-    )
-    batch.add_argument("--k", type=int, default=1)
     batch.add_argument(
         "--radius",
         type=float,
@@ -1092,7 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-batch decoded-page cache budget in bytes "
         "(default: no decoded cache)",
     )
-    batch.add_argument("--seed", type=int, default=0)
     batch.add_argument(
         "--compare",
         action="store_true",
@@ -1114,7 +555,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="take a shard down before the batch (repeatable); its "
         "queries degrade to lost-page bounds instead of failing",
     )
-    batch.set_defaults(func=_cmd_batch)
 
     info = sub.add_parser("info", help="describe a saved index")
     info.add_argument("index")
@@ -1143,17 +583,12 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--seed", type=int, default=0)
     validate.set_defaults(func=_cmd_validate)
 
-    stats = sub.add_parser(
-        "stats",
-        help="run a query workload and dump the metrics registry",
+    stats = _workload_parser(
+        sub, "stats", _cmd_stats,
+        "run a query workload and dump the metrics registry",
+        random=20, random_help="workload size", k=5,
     )
-    stats.add_argument("index")
-    stats.add_argument(
-        "--random", type=int, default=20, help="workload size"
-    )
-    stats.add_argument("--k", type=int, default=5)
     stats.add_argument("--pool", type=int, default=None)
-    stats.add_argument("--seed", type=int, default=0)
     stats.add_argument(
         "--format",
         choices=("prometheus", "json"),
@@ -1174,19 +609,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "'[name=]counter_a/counter_b<=0.01' (repeatable); exit code "
         "1 when any objective burns",
     )
-    stats.set_defaults(func=_cmd_stats)
 
-    trace = sub.add_parser(
-        "trace",
-        help="trace one query batch as a span tree with I/O attribution",
+    trace = _workload_parser(
+        sub, "trace", _cmd_trace,
+        "trace one query batch as a span tree with I/O attribution",
+        random=1, random_help="queries in the batch", k=5,
     )
-    trace.add_argument("index")
-    trace.add_argument(
-        "--random", type=int, default=1, help="queries in the batch"
-    )
-    trace.add_argument("--k", type=int, default=5)
     trace.add_argument("--pool", type=int, default=None)
-    trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--json", action="store_true", help="emit the span tree as JSON"
     )
@@ -1224,20 +653,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="executor backend for --workers > 1; the stitched trace "
         "is identical either way",
     )
-    trace.set_defaults(func=_cmd_trace)
 
-    flight = sub.add_parser(
-        "flight",
-        help="run a workload with a flight recorder attached and dump "
-        "the captured postmortem records as JSON",
+    flight = _workload_parser(
+        sub, "flight", _cmd_flight,
+        "run a workload with a flight recorder attached and dump the "
+        "captured postmortem records as JSON",
+        random=20, random_help="workload size", k=5,
     )
-    flight.add_argument("index")
-    flight.add_argument(
-        "--random", type=int, default=20, help="workload size"
-    )
-    flight.add_argument("--k", type=int, default=5)
     flight.add_argument("--pool", type=int, default=None)
-    flight.add_argument("--seed", type=int, default=0)
     flight.add_argument(
         "--capacity", type=int, default=64, help="ring-buffer capacity"
     )
@@ -1281,38 +704,32 @@ def _build_parser() -> argparse.ArgumentParser:
         help="take a shard down first (repeatable, with --shards); the "
         "degraded queries then show up in the recorder",
     )
-    flight.set_defaults(func=_cmd_flight)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="inject read faults and verify the degraded-result contract",
+    chaos_cmd = _workload_parser(
+        sub, "chaos", _cmd_chaos,
+        "inject read faults and verify the degraded-result contract",
+        random=8, random_help="queries per schedule", k=3,
     )
-    chaos.add_argument("index")
-    chaos.add_argument(
-        "--random", type=int, default=8, help="queries per schedule"
-    )
-    chaos.add_argument("--k", type=int, default=3)
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--radius",
         type=float,
         default=None,
         help="also run range queries with this radius",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--kinds",
-        default=",".join(_CHAOS_KINDS),
+        default=",".join(chaos.KINDS),
         help="comma-separated fault kinds (transient,persistent,corrupt)",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--levels",
-        default=",".join(_CHAOS_LEVELS),
+        default=",".join(chaos.LEVELS),
         help="comma-separated victim levels (quantized,exact)",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--retries", type=int, default=3, help="retry budget per read"
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -1320,20 +737,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "split into this many shards and verify degraded answers "
         "contain the truth",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--kill-shards",
         default="0",
         metavar="I,J,...",
         help="comma-separated shard indices to kill (default: 0); "
         "only used with --shards",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--workers",
         type=int,
         default=1,
         help="worker count of the sharded run (only with --shards)",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--writes",
         action="store_true",
         help="run the write-path matrix instead of read faults: crash "
@@ -1342,33 +759,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "acknowledged ops, then race background re-quantization "
         "against query batches",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--ops",
         type=int,
         default=40,
         help="scripted insert/delete operations (only with --writes)",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--checkpoint-every",
         type=int,
         default=10,
         help="checkpoint cadence in the write script (only with --writes)",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--group-commit",
         type=int,
         default=1,
         help="WAL group-commit window: acknowledge writes only at every "
         "Nth fsync batch (only with --writes; 1 = fsync per append)",
     )
-    chaos.add_argument(
+    chaos_cmd.add_argument(
         "--backend",
         default="thread",
         choices=("thread", "process"),
         help="worker backend of the concurrent-maintenance phase "
         "(only with --writes)",
     )
-    chaos.set_defaults(func=_cmd_chaos)
     return parser
 
 

@@ -81,23 +81,40 @@ class QueryExplanation:
         )
 
 
+class _Recorder:
+    """What one search did, page by page (see :func:`explain_query`)."""
+
+    def __init__(self):
+        #: page -> (outcome, read order) of every page read
+        self.read: dict[int, tuple[str, int]] = {}
+        #: page -> the access probability a window last computed for it
+        self.probabilities: dict[int, float] = {}
+        self.decoded: set[int] = set()
+
+    def pages_read(self, pivot: int, pages) -> None:
+        for page in pages:
+            outcome = "pivot" if page == pivot else "speculative"
+            self.read.setdefault(page, (outcome, len(self.read)))
+
+
 def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanation:
     """Run one instrumented optimized-scheduler k-NN query.
 
-    The search's page loader is hooked for the duration of the query:
-    each page it returns is the step's pivot or a speculative read of
-    the pivot's cost-balance window.  A decoded-cache hit is a step of
-    its own (no window is planned around it), so it counts as that
-    step's pivot.  Pages never loaded are pruned.  The page processor
-    is hooked too: a read page is ``decoded`` when its turn came in the
-    best-first order (an exact page, when it was read).
+    The search reports to a recorder of its own: each page a step
+    reads is the step's pivot or a speculative read of the pivot's
+    cost-balance window.  A decoded-cache hit is a step of its own (no
+    window is planned around it), so it counts as that step's pivot.
+    Pages never loaded are pruned.  A read page is ``decoded`` when its
+    turn came in the best-first order (an exact page, when it was
+    read).  Concurrent calls do not see each other's pages, and each
+    runs from a parked disk head under the tree's write lock.
 
     A speculative or pruned page carries the access probability the
     window planner last computed for it while it was still pending
     (for a speculative page, in the window that read it); a page no
     window examined carries ``None``, as does every pivot.
     """
-    from repro.core import search as search_mod
+    from repro.core.search import nearest_neighbors
 
     tree._ensure_clean()
     query = np.asarray(query, dtype=np.float64)
@@ -105,39 +122,10 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
         raise SearchError(
             f"query must have shape ({tree.dim},), got {query.shape}"
         )
-    recorded: dict[int, tuple[str, int]] = {}
-    probabilities: dict[int, float] = {}
-    decoded: set[int] = set()
-    original_load = search_mod._load_pages
-    original_plan = search_mod._plan_window
-    original_process = search_mod._process_page
-
-    def recording_load_pages(t, q, pivot, *args, **kwargs):
-        entries, lost = original_load(t, q, pivot, *args, **kwargs)
-        for page in entries:
-            outcome = "pivot" if page == pivot else "speculative"
-            recorded.setdefault(page, (outcome, len(recorded)))
-        return entries, lost
-
-    def recording_plan_window(*args, **kwargs):
-        window = original_plan(*args, **kwargs)
-        probabilities.update(window[3])
-        return window
-
-    def recording_process_page(t, q, handle, *args, **kwargs):
-        decoded.add(handle.index)
-        return original_process(t, q, handle, *args, **kwargs)
-
-    search_mod._load_pages = recording_load_pages
-    search_mod._plan_window = recording_plan_window
-    search_mod._process_page = recording_process_page
-    try:
+    recorder = _Recorder()
+    with tree._write_lock:
         tree.disk.park()
-        result = tree.nearest(query, k=k, scheduler="optimized")
-    finally:
-        search_mod._load_pages = original_load
-        search_mod._plan_window = original_plan
-        search_mod._process_page = original_process
+        result = nearest_neighbors(tree, query, k=k, recorder=recorder)
 
     page_mindists = mindist_to_boxes(
         query, tree._lowers, tree._uppers, tree.metric
@@ -151,17 +139,19 @@ def explain_query(tree: IQTree, query: np.ndarray, k: int = 1) -> QueryExplanati
         elapsed=result.io.elapsed,
     )
     for page in range(tree.n_pages):
-        outcome, order = recorded.get(page, ("pruned", None))
+        outcome, order = recorder.read.get(page, ("pruned", None))
         explanation.decisions.append(
             PageDecision(
                 page=page,
                 mindist=float(page_mindists[page]),
                 outcome=outcome,
                 access_probability=(
-                    None if outcome == "pivot" else probabilities.get(page)
+                    None
+                    if outcome == "pivot"
+                    else recorder.probabilities.get(page)
                 ),
                 order=order,
-                decoded=page in decoded,
+                decoded=page in recorder.decoded,
             )
         )
     return explanation

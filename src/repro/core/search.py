@@ -349,7 +349,12 @@ class KBest:
 
 
 def nearest_neighbors(
-    tree: IQTree, query: np.ndarray, k: int = 1, scheduler: str = "optimized"
+    tree: IQTree,
+    query: np.ndarray,
+    k: int = 1,
+    scheduler: str = "optimized",
+    *,
+    recorder=None,
 ) -> NNResult:
     """Exact k-NN search on an IQ-tree.
 
@@ -357,15 +362,20 @@ def nearest_neighbors(
     page-access strategy.  With a fault context attached
     (``tree.use_fault_tolerance()``), unreadable data degrades the
     result instead of aborting it; without one, any storage failure
-    surfaces as :class:`~repro.exceptions.QueryDataError`.
+    surfaces as :class:`~repro.exceptions.QueryDataError`.  A
+    ``recorder`` (see :func:`repro.core.diagnostics.explain_query`) is
+    told the pages each step reads, the access probabilities each
+    window computes and the pages the search decodes.
     """
-    k = checked_k(k, tree.n_points)
+    k = checked_k(k, tree.n_live_points)
     if scheduler not in ("optimized", "standard"):
         raise SearchError(f"unknown scheduler: {scheduler!r}")
     tree._ensure_clean()
     query = checked_query(tree, query)
     return _run_single(
-        tree, "nearest", lambda: _nearest_impl(tree, query, k, scheduler)
+        tree,
+        "nearest",
+        lambda: _nearest_impl(tree, query, k, scheduler, recorder),
     )
 
 
@@ -386,7 +396,7 @@ def _run_single(tree: IQTree, kind: str, run):
 
 
 def _nearest_impl(
-    tree: IQTree, query: np.ndarray, k: int, scheduler: str
+    tree: IQTree, query: np.ndarray, k: int, scheduler: str, recorder=None
 ) -> NNResult:
     io_before = io_snapshot(tree)
     tree._charge_directory_scan()
@@ -417,6 +427,8 @@ def _nearest_impl(
         handle = tree._decode_entry(page, entry)
         if handle.codes is not None:
             quant_handles[page] = handle
+        if recorder is not None:
+            recorder.decoded.add(page)
         _process_page(tree, query, handle, best, heap, page_ties)
 
     while heap and heap[0][0] <= best.bound():
@@ -432,8 +444,10 @@ def _nearest_impl(
                 continue
             entries, lost = _load_pages(
                 tree, query, page, page_mindists, processed, best.bound(),
-                k, scheduler, quarantined,
+                k, scheduler, quarantined, recorder,
             )
+            if recorder is not None:
+                recorder.pages_read(page, entries)
             for j in lost:
                 processed[j] = True
                 lost_pages.append(_lost_page(tree, query, j, page_mindists))
@@ -679,6 +693,7 @@ def _load_pages(
     k: int,
     scheduler: str,
     quarantined: set[int],
+    recorder=None,
 ) -> tuple[dict, list[int]]:
     """Read a pivot page and the pages read with it.
 
@@ -693,7 +708,8 @@ def _load_pages(
     page in read order -- published to the store undecoded; the caller
     decodes a page when its turn comes -- and the pages that could not
     be read; ``quarantined`` (the quarantined quantized-level blocks)
-    is kept in sync with the context.
+    is kept in sync with the context.  ``recorder`` is given the
+    window's access probabilities.
     """
     cached = tree._cached_entry(pivot)
     if cached is not None:
@@ -702,10 +718,12 @@ def _load_pages(
         return {}, [pivot]
     to_process = [pivot]
     if scheduler == "optimized":
-        first, last, to_process, _ = _plan_window(
+        first, last, to_process, probabilities = _plan_window(
             tree, query, pivot, page_mindists, processed, bound, k,
             forbidden=frozenset(quarantined),
         )
+        if recorder is not None:
+            recorder.probabilities.update(probabilities)
         try:
             payloads = _guarded(
                 tree,
@@ -883,7 +901,8 @@ def checked_queries(tree: IQTree, queries) -> np.ndarray:
 
 
 def checked_k(k, n_points: int) -> int:
-    """Validate a neighbor count: an integer from 1 to ``n_points``."""
+    """Validate a neighbor count: an integer from 1 to ``n_points``,
+    the number of indexed points (deleted rows excluded)."""
     try:
         k = operator.index(k)
     except TypeError:
@@ -891,7 +910,7 @@ def checked_k(k, n_points: int) -> int:
     if k < 1:
         raise SearchError("k must be at least 1")
     if k > n_points:
-        raise SearchError(f"k={k} exceeds the {n_points} stored points")
+        raise SearchError(f"k={k} exceeds the {n_points} indexed points")
     return k
 
 

@@ -71,10 +71,8 @@ class PageHandle:
 def decode_page(page: int, payload: bytes, dim: int) -> PageHandle:
     """Decode one quantized-level page payload into a :class:`PageHandle`
     (exact pages: coordinates and ids; PQ pages: selectors and codebook
-    view; grid pages: cell codes) and count it in ``PAGES_DECODED``."""
+    view; grid pages: cell codes)."""
     contents, g, ids, aux = serializer.decode_quantized_page(payload, dim)
-    if REGISTRY.enabled:
-        PAGES_DECODED.inc(bits=g)
     if g >= EXACT_BITS:
         return PageHandle(page, g, None, contents, ids)
     if aux is not None:
@@ -794,6 +792,8 @@ class IQTree:
         payload = entry.payload
         if entry.handle is None:
             handle = decode_page(page, payload, self.dim)
+            if REGISTRY.enabled:
+                PAGES_DECODED.inc(bits=int(self._bits[page]))
             if self._decoded_cache is None:
                 entry.handle, entry.payload = handle, None
             else:

@@ -163,6 +163,9 @@ class PageDecodeCache:
 
     def _decode_bulk(self, payloads: Mapping[int, bytes]) -> dict:
         dim = self._tree.dim
+        if REGISTRY.enabled:  # by the directory's width of each page
+            for bits in self._tree._bits[list(payloads)].tolist():
+                PAGES_DECODED.inc(bits=bits)
         handles: dict[int, PageHandle] = {}
         grouped: dict[int, list[tuple[int, bytes, int]]] = defaultdict(list)
         for page, payload in payloads.items():
@@ -184,8 +187,6 @@ class PageDecodeCache:
                 [m for _page, _body, m in entries],
                 dim,
             )
-            if REGISTRY.enabled:
-                PAGES_DECODED.inc(len(entries), bits=bits)
             for (page, _body, _m), codes in zip(entries, codes_list):
                 handles[page] = PageHandle(page, bits, codes, None, None)
         return handles

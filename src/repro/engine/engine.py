@@ -332,7 +332,7 @@ class QueryEngine:
         distance *within the caller's final merged answer*.
         """
         tree = self.tree
-        k = checked_k(k, tree.n_points)
+        k = checked_k(k, tree.n_live_points)
         tree._ensure_clean()
         queries = checked_queries(tree, queries)
         if radius_cap is not None:

@@ -289,7 +289,7 @@ class ShardRouter:
         tree._ensure_clean()
         self.metric = tree.metric
         self.dim = tree.dim
-        self._n_rows = tree.n_points
+        self._n_live = tree.n_live_points
         # The router's copy of the *global* directory: the union of all
         # shard directories, in source-page order.  Routing math over
         # these arrays is in-memory planning state (a routing table),
@@ -328,11 +328,6 @@ class ShardRouter:
         #: trace_query(router) and the flight recorder.
         self.disk = _RouterDisk(self.shards)
         self._flight_recorder = None
-        # point id -> global page, for truth-containment checks.
-        self._page_of: dict[int, int] = {}
-        for g, opt in enumerate(tree._partitions):
-            for pid in opt.partition.indices.tolist():
-                self._page_of[int(pid)] = g
 
     # ------------------------------------------------------------------
     # Introspection / health
@@ -345,18 +340,6 @@ class ShardRouter:
     def backend(self) -> str:
         """The shared worker pool's resolved backend."""
         return self._worker_pool.backend
-
-    def page_of(self, point_id: int) -> int:
-        """The global page a point id lives on (truth-containment aid)."""
-        return self._page_of[int(point_id)]
-
-    def shard_of(self, point_id: int) -> int:
-        """The shard a point id lives on."""
-        page = self.page_of(point_id)
-        for shard in self.shards:
-            if page in shard.pages:
-                return shard.index
-        raise SearchError(f"point {point_id} maps to no shard")
 
     def kill_shard(self, index: int) -> None:
         """Take a shard down: queries degrade to lost-page bounds."""
@@ -415,7 +398,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def knn_batch(self, queries: np.ndarray, k: int = 1) -> ShardedBatchResult:
         """Exact scatter-gather kNN, answers identical to one engine."""
-        k = checked_k(k, self._n_rows)
+        k = checked_k(k, self._n_live)
         queries = checked_queries(self.shards[0].tree, queries)
         if self._flight_recorder is not None:
             return observe_batch(
@@ -436,8 +419,11 @@ class ShardRouter:
             dmin,
             dmax,
             bound,
+            # A shard with fewer than k points answers with all of them.
             run=lambda shard, active: shard.engine.knn_batch(
-                queries[active], k=k, radius_cap=bound[active]
+                queries[active],
+                k=min(k, shard.tree.n_live_points),
+                radius_cap=bound[active],
             ),
             tighten=lambda merge: self._kth_distance(merge, k),
             lost_maxdist=lambda q, pages: dmax[q, pages],

@@ -249,3 +249,51 @@ class TestDecodedPages:
         assert f"{explanation.pages_decoded} decoded" in (
             explanation.summary()
         )
+
+
+class TestConcurrentExplanations:
+    """Each explanation records its own search: concurrent calls leave
+    the search module as it was and explain what a serial call does."""
+
+    def test_two_threads_match_serial_runs(self):
+        import sys
+        import threading
+
+        from repro.core import search as search_mod
+
+        hooks = ("_load_pages", "_plan_window", "_process_page")
+        originals = [getattr(search_mod, name) for name in hooks]
+        tree = IQTree.build(np.random.default_rng(4).random((4000, 8)))
+        queries = np.random.default_rng(5).random((40, 8))
+        serial = [explain_query(tree, q, k=5) for q in queries]
+        got = [None] * len(queries)
+
+        def explain(positions):
+            for i in positions:
+                got[i] = explain_query(tree, queries[i], k=5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=explain, args=(range(start, len(queries), 2),)
+                )
+                for start in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [getattr(search_mod, name) for name in hooks] == originals
+        for want, have in zip(serial, got):
+            assert have.decisions == want.decisions
+            assert np.array_equal(have.result_ids, want.result_ids)
+            assert np.array_equal(
+                have.result_distances, want.result_distances
+            )
+            assert have.refinements == want.refinements
+            # A delta of the shared disk clock: equal up to rounding.
+            assert have.elapsed == pytest.approx(want.elapsed, rel=1e-9)

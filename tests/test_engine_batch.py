@@ -76,16 +76,22 @@ class TestKnnBatchCorrectness:
             ref = quantized_tree.nearest(query, k=5)
             assert np.array_equal(got.ids, ref.ids)
 
-    def test_k_exceeding_live_points_returns_all_live(self, rng):
+    def test_k_beyond_live_points_raises(self, rng):
+        """Deleted rows still count in ``n_points``; k is checked
+        against the points still indexed, so ``k=20`` on 10 live
+        points raises instead of returning 10 ids."""
         data = rng.random((40, 4))
         tree = IQTree.build(
             data, disk=make_disk(), optimize=False, fixed_bits=4
         )
         for pid in range(30):
             tree.delete(pid)
-        got = QueryEngine(tree).knn_batch(rng.random((2, 4)), k=20)
-        for res in got:
-            assert res.ids.size == tree.n_live_points
+        engine = QueryEngine(tree)
+        queries = rng.random((2, 4))
+        for res in engine.knn_batch(queries, k=tree.n_live_points):
+            assert np.array_equal(np.sort(res.ids), np.arange(30, 40))
+        with pytest.raises(SearchError, match="10 indexed points"):
+            engine.knn_batch(queries, k=20)
 
 
 class TestRangeBatchCorrectness:

@@ -24,6 +24,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.chaos import check_answer, point_pages
 from repro.core.tree import IQTree
 from repro.engine import QueryEngine, ShardRouter
 from repro.engine.page_cache import DecodedPageCache
@@ -266,15 +267,9 @@ class TestDeadShardFailover:
         assert 0 in got.routing.dead
         assert got.stats.lost_pages > 0
         assert got.stats.degraded
-        for b, g in zip(baseline, got):
-            for pid, dist in zip(b.ids.tolist(), b.distances.tolist()):
-                if pid in g.ids.tolist():
-                    continue
-                page = router.page_of(pid)
-                assert any(
-                    lp.page == page and lp.mindist <= dist <= lp.maxdist
-                    for lp in g.lost_pages
-                ), f"true neighbor {pid} neither returned nor covered"
+        pages = point_pages(tree)
+        for q, b, g in zip(queries, baseline, got):
+            assert check_answer(tree, q, g, b, pages=pages) == []
         router.close()
 
     def test_revive_restores_exact_answers(self, data, queries):
@@ -338,11 +333,16 @@ class TestDeadShardFailover:
         assert ledger_tuple(a.stats.io) == ledger_tuple(b.stats.io)
         assert a.stats.lost_pages == b.stats.lost_pages
 
-    def test_shard_of_maps_every_point(self, data):
-        router = ShardRouter(build_tree(data), shards=3)
-        for pid in (0, 7, data.shape[0] - 1):
-            s = router.shard_of(pid)
-            assert router.page_of(pid) in router.shards[s].pages
+    def test_point_pages_match_shard_pages(self, data):
+        """A lost page's global index names the page of its points."""
+        tree = build_tree(data)
+        pages = point_pages(tree)
+        router = ShardRouter(tree, shards=3)
+        for shard in router.shards:
+            for local, opt in enumerate(shard.tree._partitions):
+                assert np.all(
+                    pages[opt.partition.indices] == shard.pages[local]
+                )
         router.close()
 
 

@@ -184,13 +184,8 @@ def test_fewer_pages_decoded_than_read():
     )
     tree = IQTree.build(data, disk=make_disk(), codec="pq")
     queries = data[::300] + 1e-3
-    # PAGES_DECODED is labeled by the payload header's code width.
-    widths = {
-        serializer.QUANT_PAGE_HEADER.unpack_from(
-            tree._quant_file.peek_block(page)
-        )[1]
-        for page in range(tree.n_pages)
-    }
+    # PAGES_DECODED is labeled by the directory's width of a page.
+    widths = set(tree.page_bits.tolist())
 
     def pages_decoded() -> float:
         return sum(PAGES_DECODED.value(bits=bits) for bits in widths)

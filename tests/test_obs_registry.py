@@ -266,6 +266,24 @@ class TestProcessRegistryAccounting:
         )
         assert decoded == batch.stats.pages_read
 
+    def test_pages_decoded_labeled_by_directory_width(self, live_registry):
+        """A PQ page's payload header holds its code width; the counter
+        is labeled with the width the directory reports for the page."""
+        from repro.datasets import gaussian_clusters
+
+        data = gaussian_clusters(
+            n=3000, seed=7, dim=12, n_clusters=60, spread=1e-3
+        )
+        tree = IQTree.build(data, codec="pq")
+        widths = {str(bits) for bits in tree.page_bits.tolist()}
+        live_registry.reset()
+        result = tree.nearest(data[0], k=5)
+        batch = tree.query_engine().knn_batch(data[::500], k=5)
+        samples = instruments.PAGES_DECODED._collect()
+        assert {s["labels"]["bits"] for s in samples} <= widths
+        decoded = sum(s["value"] for s in samples)
+        assert 0 < decoded <= result.pages_read + batch.stats.pages_read
+
 
 class TestDiskModelValidation:
     """Satellite: non-positive disk parameters raise ValueError."""

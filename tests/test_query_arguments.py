@@ -160,6 +160,47 @@ class TestNonIntegralK:
             assert np.array_equal(w.distances, g.distances)
 
 
+class TestKAfterDeletions:
+    """Deleted rows stay in the point array until ``reoptimize``; k is
+    checked against the points still indexed, so a k between the two
+    counts raises instead of returning fewer than k ids."""
+
+    @pytest.fixture(scope="class")
+    def thinned(self):
+        tree = IQTree.build(np.random.default_rng(3).random((500, 4)))
+        for pid in range(0, 500, 5):
+            tree.delete(pid)
+        assert (tree.n_points, tree.n_live_points) == (500, 400)
+        return tree
+
+    @pytest.mark.parametrize("k", [401, 500, 501])
+    def test_k_above_live_points_raises(self, thinned, queries, k):
+        with pytest.raises(SearchError, match="400 indexed points"):
+            thinned.nearest(queries[0, :4], k=k)
+        with QueryEngine(thinned) as engine:
+            with pytest.raises(SearchError, match="400 indexed points"):
+                engine.knn_batch(queries[:, :4], k=k)
+        with ShardRouter(thinned, shards=2) as router:
+            with pytest.raises(SearchError, match="400 indexed points"):
+                router.knn_batch(queries[:, :4], k=k)
+
+    def test_k_equal_to_live_points_answers_all(self, thinned, queries):
+        live = np.sort(
+            np.concatenate(
+                [opt.partition.indices for opt in thinned._partitions]
+            )
+        )
+        result = thinned.nearest(queries[0, :4], k=400)
+        assert np.array_equal(np.sort(result.ids), live)
+        with ShardRouter(thinned, shards=3) as router:
+            got = router.knn_batch(queries[:, :4], k=400)
+        with QueryEngine(thinned) as engine:
+            want = engine.knn_batch(queries[:, :4], k=400)
+        for w, g in zip(want, got):
+            assert np.array_equal(w.ids, g.ids)
+            assert np.array_equal(w.distances, g.distances)
+
+
 class TestRadiusCap:
     """A NaN or negative cap is refused: no page's mindist compares
     below it, so it would empty every answer without an error."""

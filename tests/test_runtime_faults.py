@@ -2,16 +2,18 @@
 
 Everything here is deterministic: faults are keyed on exact
 ``(address, attempt)`` pairs, so each scenario replays bit-identically.
-The tree-level tests follow the chaos CLI's discipline -- observe which
+The tree-level tests follow the chaos harness's discipline -- observe which
 addresses a pristine workload touches, then aim scheduled faults at
 them -- and assert the degraded-result contract from
-``docs/robustness.md``.
+``docs/robustness.md`` with the harness's one check,
+:func:`repro.chaos.check_answer`.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.chaos import check_answer
 from repro.core.search import locate_address
 from repro.core.tree import IQTree
 from repro.exceptions import (
@@ -309,6 +311,7 @@ class TestDegradedKNN:
     ):
         tree = faulted_tree(uniform_points[:600])
         query = uniform_points[701]
+        base = tree.nearest(query, k=5)
         address = observed_address(tree, "exact", query, k=5)
         inj = ReadFaultInjector()
         inj.fail_always(address)
@@ -317,14 +320,11 @@ class TestDegradedKNN:
         res = tree.nearest(query, k=5)
         assert res.degraded and res.certain is not None
         assert not res.certain.all()
+        assert check_answer(tree, query, res, base) == []
+        # An uncertain record ranks at its cell maxdist.
         for pos, pid in enumerate(res.ids.tolist()):
-            true_dist = tree.metric.distance(query, tree.points[pid])
-            if res.certain[pos]:
-                assert res.distances[pos] == pytest.approx(true_dist)
-            else:
-                lo, hi = res.intervals[pid]
-                assert lo - 1e-9 <= true_dist <= hi + 1e-9
-                assert res.distances[pos] == pytest.approx(hi)
+            if not res.certain[pos]:
+                assert res.distances[pos] == res.intervals[pid][1]
 
     def test_lost_quantized_page_reports_partition(self, uniform_points):
         tree = faulted_tree(uniform_points[:600])
@@ -415,6 +415,7 @@ class TestDegradedRange:
         tree = faulted_tree(uniform_points[:600])
         query = uniform_points[711]
         radius = 0.8
+        base = tree.range_query(query, radius)
         address = observed_address(tree, "exact", query)
         inj = ReadFaultInjector()
         inj.fail_always(address)
@@ -423,10 +424,9 @@ class TestDegradedRange:
         res = tree.range_query(query, radius)
         assert res.degraded
         assert res.intervals
-        for pid, (lo, hi) in res.intervals.items():
-            true_dist = tree.metric.distance(query, tree.points[pid])
-            assert lo - 1e-9 <= true_dist <= hi + 1e-9
-            assert lo <= radius  # cell overlaps the ball
+        assert check_answer(tree, query, res, base) == []
+        # Every uncertain member's cell overlaps the ball.
+        assert all(lo <= radius for lo, _hi in res.intervals.values())
 
 
 class TestEngineDegraded:
@@ -445,16 +445,8 @@ class TestEngineDegraded:
         assert res.stats.degraded
         assert any(r.degraded for r in res.queries)
         assert len(res.queries) == len(base.queries)
-        for i, r in enumerate(res.queries):
-            for pos, pid in enumerate(r.ids.tolist()):
-                true_dist = tree.metric.distance(
-                    queries[i], tree.points[pid]
-                )
-                if r.certain is None or r.certain[pos]:
-                    assert r.distances[pos] == pytest.approx(true_dist)
-                else:
-                    lo, hi = r.intervals[pid]
-                    assert lo - 1e-9 <= true_dist <= hi + 1e-9
+        for query, r, b in zip(queries, res.queries, base.queries):
+            assert check_answer(tree, query, r, b) == []
 
     def test_knn_batch_lost_page_reported(self, uniform_points):
         tree = faulted_tree(uniform_points[:600])
@@ -475,6 +467,7 @@ class TestEngineDegraded:
         tree = faulted_tree(uniform_points[:600])
         queries = uniform_points[712:715]
         engine = tree.query_engine()
+        base = engine.range_batch(queries, 0.8)
         address = observed_address(tree, "exact", queries[0])
         inj = ReadFaultInjector()
         inj.fail_always(address)
@@ -482,14 +475,8 @@ class TestEngineDegraded:
         tree.use_fault_tolerance()
         res = engine.range_batch(queries, 0.8)
         assert any(r.degraded for r in res.queries)
-        for i, r in enumerate(res.queries):
-            if not r.intervals:
-                continue
-            for pid, (lo, hi) in r.intervals.items():
-                true_dist = tree.metric.distance(
-                    queries[i], tree.points[pid]
-                )
-                assert lo - 1e-9 <= true_dist <= hi + 1e-9
+        for query, r, b in zip(queries, res.queries, base.queries):
+            assert check_answer(tree, query, r, b) == []
 
 
 class TestObservability:
