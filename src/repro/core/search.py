@@ -286,13 +286,16 @@ class RangeResult(NNResult):
 class KBest:
     """Fixed-size max-heap tracking the current k best candidates.
 
-    Shared by the single-query searches here and by the batch query
-    engine in :mod:`repro.engine`.
+    Candidates rank by ``(distance, id)``: of two points at the k-th
+    distance the smaller id is kept, whatever order they are offered
+    in, so every search path breaks ties as a brute-force scan over
+    ascending ids does.  Shared by the single-query searches here and
+    by the batch query engine in :mod:`repro.engine`.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self._heap: list[tuple[float, int]] = []  # (-dist, id)
+        self._heap: list[tuple[float, int]] = []  # (-dist, -id)
 
     def bound(self) -> float:
         """Current pruning distance (inf until k candidates exist)."""
@@ -301,22 +304,26 @@ class KBest:
         return -self._heap[0][0]
 
     def offer(self, dist: float, point_id: int) -> None:
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-dist, point_id))
-        elif dist < -self._heap[0][0]:
-            heapq.heapreplace(self._heap, (-dist, point_id))
+        heap = self._heap
+        if len(heap) < self.k:
+            heapq.heappush(heap, (-dist, -point_id))
+            return
+        worst = -heap[0][0]  # compared as floats first: the hot path
+        if dist < worst or (dist == worst and point_id < -heap[0][1]):
+            heapq.heapreplace(heap, (-dist, -point_id))
 
     def offer_many(self, dists: np.ndarray, ids: np.ndarray) -> None:
         """Offer a whole candidate array (same result as offer() in a
-        loop, including first-offered-wins tie behavior).
+        loop, in any order).
 
         Candidates that provably cannot enter the heap are dropped in
         one vectorized pass before the (now tiny) sequential offers:
         with ``n > k`` offered distances, anything above the k-th
-        smallest *of this array* loses to k strictly smaller offers
-        (replacement is strict ``<``), and once the heap is full,
-        anything at or above the current bound is dead on arrival --
-        and stays dead, because the bound never increases.
+        smallest *of this array* loses to k strictly smaller offers,
+        and once the heap is full, anything above the current bound is
+        dead on arrival -- and stays dead, because the bound never
+        increases.  A distance equal to the bound survives the filter:
+        it enters if its id is below the worst kept one.
         """
         dists = np.asarray(dists, dtype=np.float64)
         ids = np.asarray(ids)
@@ -328,7 +335,7 @@ class KBest:
             keep = dists <= kth
         bound = self.bound()
         if np.isfinite(bound):
-            below = dists < bound
+            below = dists <= bound
             keep = below if keep is None else keep & below
         if keep is not None:
             dists = dists[keep]
@@ -341,9 +348,9 @@ class KBest:
         ``(distance, id)`` -- one vectorized lexsort, no tuple rebuild."""
         if not self._heap:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        neg_dists, heap_ids = zip(*self._heap)
+        neg_dists, neg_ids = zip(*self._heap)
         dists = -np.asarray(neg_dists, dtype=np.float64)
-        ids = np.asarray(heap_ids, dtype=np.int64)
+        ids = -np.asarray(neg_ids, dtype=np.int64)
         order = np.lexsort((ids, dists))
         return ids[order], dists[order]
 
@@ -367,10 +374,10 @@ def nearest_neighbors(
     told the pages each step reads, the access probabilities each
     window computes and the pages the search decodes.
     """
+    tree._ensure_clean()
     k = checked_k(k, tree.n_live_points)
     if scheduler not in ("optimized", "standard"):
         raise SearchError(f"unknown scheduler: {scheduler!r}")
-    tree._ensure_clean()
     query = checked_query(tree, query)
     return _run_single(
         tree,
@@ -533,12 +540,12 @@ def _range_one(
 def browse_by_distance(tree: IQTree, query: np.ndarray):
     """Incremental distance browsing (Hjaltason-Samet ranking).
 
-    Yields ``(point_id, distance)`` pairs in ascending distance order,
-    lazily: pages are loaded and points refined only as far as the
-    consumer iterates, so taking the first k results does no more I/O
-    than a k-NN query with an unknown k.  This is the natural API for
-    "give me neighbors until I say stop" workloads; the paper's k-NN
-    algorithm is the bounded special case.
+    Yields ``(point_id, distance)`` pairs in ascending
+    ``(distance, id)`` order, lazily: pages are loaded and points
+    refined only as far as the consumer iterates, so taking the first
+    k results does no more I/O than a k-NN query with an unknown k.
+    This is the natural API for "give me neighbors until I say stop"
+    workloads; the paper's k-NN algorithm is the bounded special case.
 
     Uses the standard (one random read per pivot page) access strategy:
     speculative pre-reading needs a pruning bound, and an open-ended
@@ -565,10 +572,21 @@ def _browse_impl(tree: IQTree, query: np.ndarray):
     exact = ExactStore(tree)
     ties = _Ties(tree.n_pages)
     heap = _page_entries(page_mindists)
-    while heap:
+    # Results at one distance are held until nothing left in the heap
+    # can produce another at that distance, then yielded by id.
+    held: list[int] = []
+    held_dist = 0.0
+    while True:
+        if held and (not heap or heap[0][0] > held_dist):
+            for pid in sorted(held):
+                yield pid, held_dist
+            held.clear()
+        if not heap:
+            return
         dist, _t, kind, page, item, _run, _pos = _pop(heap)
         if kind == _RESULT:
-            yield int(item), float(dist)
+            held.append(int(item))
+            held_dist = float(dist)
             continue
         if kind == _POINT:
             coords, pid = exact.fetch(page, item)

@@ -332,8 +332,8 @@ class QueryEngine:
         distance *within the caller's final merged answer*.
         """
         tree = self.tree
-        k = checked_k(k, tree.n_live_points)
         tree._ensure_clean()
+        k = checked_k(k, tree.n_live_points)
         queries = checked_queries(tree, queries)
         if radius_cap is not None:
             radius_cap = np.asarray(radius_cap, dtype=np.float64)

@@ -562,9 +562,9 @@ def plan_knn_query(query, k, pages, table, metric, scratch) -> dict:
     row by row over C-contiguous rows, so a row's value does not depend
     on which other rows share the call, and ``lower <= tau`` over R
     selects the same floats and the same refinement set as one pass
-    over every candidate row, in ascending ``(page, local)`` order as
-    the tie handling of :class:`KBest` requires.  With fewer than k
-    candidate points tau is infinite and nothing is abandoned.
+    over every candidate row, in ascending ``(page, local)`` order.
+    With fewer than k candidate points tau is infinite and nothing is
+    abandoned.
     """
     points, ids = table.exact.rows
     exact_sel = table.exact.select(pages)
