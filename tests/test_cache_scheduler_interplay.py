@@ -12,8 +12,8 @@ import pytest
 from repro.core.tree import IQTree
 from repro.datasets import gaussian_clusters, make_workload
 from repro.experiments.harness import experiment_disk
-from repro.geometry.metrics import EUCLIDEAN
 from repro.storage.persistence import load_iqtree, save_iqtree
+from tests.scenarios import assert_matches_scan
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +72,7 @@ class TestMaintenanceWithPool:
         new_points = rng.random((50, 8))
         tree.insert_many(new_points)
         q = queries[1]
-        res = tree.nearest(q, k=4)
-        expected = np.sort(EUCLIDEAN.distances(q, tree.points))[:4]
-        assert np.allclose(res.distances, expected)
+        assert_matches_scan(tree, q, tree.nearest(q, k=4), k=4)
 
     def test_delete_then_query_with_pool(self, workload):
         data, queries = workload

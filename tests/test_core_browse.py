@@ -1,13 +1,11 @@
 """Tests for incremental distance browsing and the batch/cost APIs."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from repro.exceptions import SearchError
 from repro.core.tree import IQTree
-from repro.geometry.metrics import EUCLIDEAN
+from tests.scenarios import assert_matches_scan, browsed
 
 
 @pytest.fixture
@@ -18,19 +16,14 @@ def tree(uniform_points, small_disk):
 class TestBrowse:
     def test_full_ranking_matches_sort(self, tree, rng):
         q = rng.random(8)
-        ranked = list(tree.browse(q))
-        assert len(ranked) == tree.n_points
-        dists = np.array([d for _i, d in ranked])
-        assert np.all(np.diff(dists) >= -1e-12)
-        expected = np.sort(EUCLIDEAN.distances(q, tree.points))
-        assert np.allclose(dists, expected)
-        assert len({i for i, _d in ranked}) == tree.n_points
+        ranked = browsed(tree, q, None)
+        assert_matches_scan(tree, q, ranked, k=tree.n_points)
 
     def test_prefix_matches_knn(self, tree, rng):
         q = rng.random(8)
-        first = list(itertools.islice(tree.browse(q), 10))
-        knn = tree.nearest(q, k=10)
-        assert np.allclose([d for _i, d in first], knn.distances)
+        first, knn = browsed(tree, q, 10), tree.nearest(q, k=10)
+        assert first.ids.tolist() == knn.ids.tolist()
+        assert first.distances.tobytes() == knn.distances.tobytes()
 
     def test_lazy_io(self, tree, rng):
         """Stopping early must cost less than ranking everything."""
@@ -54,9 +47,7 @@ class TestBrowse:
             uniform_points[:300], disk=small_disk, optimize=False
         )
         q = np.full(8, 0.5)
-        ranked = list(itertools.islice(tree.browse(q), 5))
-        expected = np.sort(EUCLIDEAN.distances(q, tree.points))[:5]
-        assert np.allclose([d for _i, d in ranked], expected)
+        assert_matches_scan(tree, q, browsed(tree, q, 5), k=5)
 
 
 class TestEstimatedCost:

@@ -5,8 +5,7 @@ import pytest
 
 from repro.exceptions import BuildError, SearchError
 from repro.core.tree import IQTree
-from repro.geometry.metrics import EUCLIDEAN
-from tests.conftest import brute_force_knn
+from tests.scenarios import assert_matches_scan
 
 
 @pytest.fixture
@@ -31,11 +30,8 @@ class TestInsert:
     def test_many_inserts_stay_correct(self, tree, rng):
         for _ in range(60):
             tree.insert(rng.random(8))
-        for _ in range(5):
-            q = rng.random(8)
-            res = tree.nearest(q, k=5)
-            _ids, dists = brute_force_knn(tree.points, q, 5, EUCLIDEAN)
-            assert np.allclose(res.distances, dists)
+        for q in rng.random((5, 8)):
+            assert_matches_scan(tree, q, tree.nearest(q, k=5), k=5)
 
     def test_overflow_triggers_split_or_requantize(self, tree, rng):
         pages_before = tree.n_pages
@@ -119,13 +115,7 @@ class TestDelete:
         q = rng.random(8)
         res = tree.nearest(q, k=5)
         assert not (set(res.ids.tolist()) & removed)
-        # Against brute force over the survivors:
-        keep = np.array(
-            [i for i in range(tree.points.shape[0]) if i not in removed]
-        )
-        dists = EUCLIDEAN.distances(q, tree.points[keep])
-        expected = np.sort(dists)[:5]
-        assert np.allclose(res.distances, expected)
+        assert_matches_scan(tree, q, res, k=5)  # scans the survivors
 
     def test_delete_unknown_id_rejected(self, tree):
         with pytest.raises(SearchError):
@@ -160,9 +150,7 @@ class TestReoptimize:
         tree.reoptimize()
         # Ids are compacted: the index is rebuilt over live points only.
         q = rng.random(8)
-        res = tree.nearest(q, k=3)
-        _ids, dists = brute_force_knn(tree.points, q, 3, EUCLIDEAN)
-        assert np.allclose(res.distances, dists)
+        assert_matches_scan(tree, q, tree.nearest(q, k=3), k=3)
 
     def test_reoptimize_refreshes_trace(self, tree, rng):
         for _ in range(30):
@@ -208,21 +196,13 @@ class TestLayoutFree:
         assert res.distances[0] == 0.0
 
     def test_mixed_burst_matches_brute_force(self, tree, rng):
-        removed = set()
         for i in range(30):
             if i % 3 == 0:
-                pid = i * 7
-                tree.delete(pid)
-                removed.add(pid)
+                tree.delete(i * 7)
             else:
                 tree.insert(rng.random(8))
         q = rng.random(8)
-        res = tree.nearest(q, k=5)
-        keep = np.array(
-            [i for i in range(tree.points.shape[0]) if i not in removed]
-        )
-        dists = EUCLIDEAN.distances(q, tree.points[keep])
-        assert np.allclose(res.distances, np.sort(dists)[:5])
+        assert_matches_scan(tree, q, tree.nearest(q, k=5), k=5)
 
 
 class TestPoolInvalidationOnRelayout:
