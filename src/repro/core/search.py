@@ -589,8 +589,7 @@ def _browse_impl(tree: IQTree, query: np.ndarray):
             held_dist = float(dist)
             continue
         if kind == _POINT:
-            coords, pid = exact.fetch(page, item)
-            true = metric.distance(query, coords)
+            true, pid = exact.refine(query, page, item)
             heapq.heappush(
                 heap, (true, ties.take(), _RESULT, page, pid, None, 0)
             )
@@ -791,9 +790,8 @@ def _refine(
     distance, so KBest pruning stays conservative -- and its cell
     interval is recorded (see :func:`cell_interval`).
     """
-    metric = tree.metric
     try:
-        coords, pid = exact.fetch(page, local)
+        dist, pid = exact.refine(query, page, local)
     except (ReadFaultError, IntegrityError) as exc:
         if not _recoverable(tree, exc):
             raise
@@ -801,12 +799,12 @@ def _refine(
         lower, upper = tree._codec_view(page, handle).cell_bounds(
             handle.codes[local : local + 1]
         )
-        lo, hi = cell_interval(query, lower, upper, metric)
+        lo, hi = cell_interval(query, lower, upper, tree.metric)
         pid = int(tree._part_ids[page][local])
         best.offer(hi, pid)
         intervals[pid] = (lo, hi)
         return
-    best.offer(metric.distance(query, coords), pid)
+    best.offer(dist, pid)
 
 
 def _guarded(tree: IQTree, read):

@@ -867,25 +867,45 @@ class IQTree:
         )
 
 
+class _RefinedPage:
+    """Per-query third-level state of one page for
+    :meth:`ExactStore.refine`: the distance and id of every record
+    decoded so far (``decoded`` masks the filled slots)."""
+
+    __slots__ = ("decoded", "distances", "ids")
+
+    def __init__(self, n: int):
+        self.decoded = np.zeros(n, dtype=bool)
+        self.distances = np.empty(n)
+        self.ids = np.empty(n, dtype=np.int64)
+
+
 class ExactStore:
     """Cached reader of third-level point records.
 
-    :meth:`fetch` refines one point for the best-first searches (one
-    seek plus the block or two holding its record); :meth:`fetch_all`
-    reads the union of many records' blocks in one transfer planned
-    with the Section 2 strategy.  Both fill one block cache, so a block
-    already read through this store is free.  Under a fault context an
-    unreadable block makes :meth:`fetch` raise, while :meth:`fetch_all`
-    lists its records in :attr:`failed` and leaves them out.
+    :meth:`refine` gives the best-first searches one point's exact
+    distance: it reads the block or two holding the record (one seek
+    each), then decodes in one vectorized pass every record in those
+    blocks whose blocks are now all cached, so a later refinement there
+    reads and decodes nothing.  :meth:`fetch_all` reads the union of
+    many records' blocks in one transfer planned with the Section 2
+    strategy.  Both fill one block cache, so a block already read
+    through this store is free.  Under a fault context an unreadable
+    block makes :meth:`refine` raise, while :meth:`fetch_all` lists its
+    records in :attr:`failed` and leaves them out.
     """
 
     def __init__(self, tree: IQTree):
         self._tree = tree
         self._cache: dict[int, bytes] = {}
-        #: point records decoded so far
+        #: point records refined so far (records decoded ahead of their
+        #: refinement are not counted)
         self.refinements = 0
         #: (page, local) keys whose third-level blocks are unreadable
         self.failed: set[tuple[int, int]] = set()
+        # Distances held by refine are to this query only.
+        self._query = None
+        self._refined: dict[int, _RefinedPage] = {}
 
     def _spans(self, first_block, local):
         """First and last block and byte offset in the first block of
@@ -898,24 +918,76 @@ class ExactStore:
         b1 = first_block + (start + record - 1) // block_size
         return b0, b1, start % block_size
 
-    def fetch(self, page: int, local_index: int) -> tuple[np.ndarray, int]:
-        """Exact ``(coords, id)`` of one point of a ``g < 32`` page."""
-        record = serializer.exact_point_record_size(self._tree.dim)
-        b0, b1, offset = self._spans(
-            int(self._tree._exact_firsts[page]), local_index
-        )
-        data = bytearray()
-        for b in range(b0, b1 + 1):
-            if b not in self._cache:
-                self._cache[b] = self._read_block(b)
-            data += self._cache[b]
-        coords, ids = serializer.decode_exact_record(
-            bytes(data[offset : offset + record]), 1, self._tree.dim
-        )
+    def refine(
+        self, query: np.ndarray, page: int, local_index: int
+    ) -> tuple[float, int]:
+        """Exact ``(distance, id)`` of one point of a ``g < 32`` page.
+
+        Reads exactly the blocks a one-record reader would: those of
+        this record that no earlier call cached, in ascending order.
+        """
+        if query is not self._query:
+            self._query = query
+            self._refined.clear()
+        state = self._refined.get(page)
+        if state is None:
+            state = self._refined[page] = _RefinedPage(
+                int(self._tree._counts[page])
+            )
+        if not state.decoded[local_index]:
+            first = int(self._tree._exact_firsts[page])
+            b0, b1, _ = self._spans(first, local_index)
+            for b in range(b0, b1 + 1):
+                if b not in self._cache:
+                    self._cache[b] = self._read_block(b)
+            self._decode_blocks(query, first, state, b0, b1)
         self.refinements += 1
         if REGISTRY.enabled:
             REFINEMENTS.inc()
-        return coords[0], int(ids[0])
+        return (
+            float(state.distances[local_index]), int(state.ids[local_index])
+        )
+
+    def _decode_blocks(
+        self, query, first: int, state: _RefinedPage, b0: int, b1: int
+    ) -> None:
+        """Decode the records of the page whose records start at block
+        ``first`` that overlap blocks ``b0..b1`` and whose blocks are
+        all cached, and keep their distances to ``query``.
+
+        The records are consecutive, so their bytes are one slice of the
+        joined blocks.  Every record but the first and the last lies
+        inside ``b0..b1``; those two may reach an uncached block.  A
+        record decoded before is decoded again, to the same values.
+        """
+        tree = self._tree
+        record = serializer.exact_point_record_size(tree.dim)
+        block_size = tree.disk.model.block_size
+        lo = (b0 - first) * block_size // record
+        hi = min(
+            state.decoded.size,
+            ((b1 + 1 - first) * block_size - 1) // record + 1,
+        )
+        if not self._is_cached(first, lo):
+            lo += 1
+        if not self._is_cached(first, hi - 1):
+            hi -= 1
+        c0 = lo * record // block_size
+        c1 = (hi * record - 1) // block_size
+        data = b"".join(self._cache[first + c] for c in range(c0, c1 + 1))
+        coords, ids = serializer.decode_exact_record(
+            memoryview(data)[lo * record - c0 * block_size :],
+            hi - lo,
+            tree.dim,
+        )
+        state.distances[lo:hi] = tree.metric.distances(query, coords)
+        state.ids[lo:hi] = ids
+        state.decoded[lo:hi] = True
+
+    def _is_cached(self, first_block: int, local: int) -> bool:
+        """Whether every block of record ``local`` is cached."""
+        b0, b1, _ = self._spans(first_block, local)
+        return all(b in self._cache for b in range(b0, b1 + 1))
 
     def fetch_all(
         self, requests: Iterable[tuple[int, int]]

@@ -22,6 +22,7 @@ without any extra wiring.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -164,8 +165,11 @@ class DriftMonitor:
 
         The cache key includes the page count and live-point count, so
         maintenance (insert/delete/reoptimize) invalidates it naturally.
+        The tree enters it by weak reference, not by ``id``: a tree
+        allocated where a freed one lived has the freed one's ``id``,
+        and would be served that tree's prediction.
         """
-        key = (id(tree), tree.n_pages, tree.n_live_points, int(k))
+        key = (weakref.ref(tree), tree.n_pages, tree.n_live_points, int(k))
         cached = self._predictions.get(key)
         if cached is not None:
             return cached
@@ -202,6 +206,12 @@ class DriftMonitor:
             stats_for(opt) for opt in tree._partitions
         )
         prediction = (float(pages), float(breakdown.total))
+        # Drop the entries of freed trees; no live tree can match them.
+        self._predictions = {
+            old: cached
+            for old, cached in self._predictions.items()
+            if old[0]() is not None
+        }
         self._predictions[key] = prediction
         return prediction
 

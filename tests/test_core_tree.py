@@ -120,17 +120,18 @@ class TestStoredRepresentation:
                 assert np.all(pts >= lowers - 1e-9)
                 assert np.all(pts <= uppers + 1e-9)
 
-    def test_exact_store_fetch(self, tree):
+    def test_exact_store_refine(self, tree):
         from repro.core.tree import ExactStore
 
         store = ExactStore(tree)
+        query = np.full(8, 0.5)
         for j in range(tree.n_pages):
             if tree._bits[j] >= 32:
                 continue
             part = tree._partitions[j].partition
-            coords, pid = store.fetch(j, 0)
+            dist, pid = store.refine(query, j, 0)
             assert pid == part.indices[0]
-            assert np.array_equal(coords, tree.points[pid])
+            assert dist == tree.metric.distance(query, tree.points[pid])
             break
 
     def test_exact_store_caches_blocks(self, tree):
@@ -144,10 +145,11 @@ class TestStoredRepresentation:
         if target is None:
             pytest.skip("no multi-point quantized page in this tree")
         store = ExactStore(tree)
+        query = np.full(8, 0.5)
         before = tree.disk.stats.blocks_read
-        store.fetch(target, 0)
+        store.refine(query, target, 0)
         first_cost = tree.disk.stats.blocks_read - before
-        store.fetch(target, 1)  # adjacent record, usually same block
+        store.refine(query, target, 1)  # adjacent record, usually same block
         assert store.refinements == 2
         assert tree.disk.stats.blocks_read - before <= first_cost + 1
 

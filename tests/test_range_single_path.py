@@ -3,7 +3,7 @@
 A single ``tree.range_query`` runs the engine's range pipeline on a
 one-query batch, so it must agree with ``QueryEngine.range_batch`` on
 an identically built twin tree down to the distance bytes and the I/O
-ledger.  The best-first searches (``ExactStore.fetch``) and the batch
+ledger.  The best-first searches (``ExactStore.refine``) and the batch
 engine (``ExactStore.fetch_all``) share one record store; its two
 methods must decode the same records from one block cache.
 """
@@ -119,17 +119,24 @@ def refined_page(tree: IQTree, min_points: int = 2) -> int:
 
 
 class TestExactStore:
-    def test_fetch_and_fetch_all_agree_on_every_record(self, quantized_tree):
+    def test_refine_and_fetch_all_agree_on_every_record(
+        self, quantized_tree
+    ):
         tree = quantized_tree
         page = refined_page(tree)
         keys = [(page, local) for local in range(int(tree._counts[page]))]
         batched = ExactStore(tree).fetch_all(keys)
         single = ExactStore(tree)
+        query = np.full(tree.dim, 0.5)
         assert sorted(batched) == keys
         for key in keys:
-            coords, pid = single.fetch(*key)
+            dist, pid = single.refine(query, *key)
+            coords = batched[key][0]
             assert batched[key][1] == pid
-            assert batched[key][0].tobytes() == coords.tobytes()
+            assert (
+                np.float64(dist).tobytes()
+                == np.float64(tree.metric.distance(query, coords)).tobytes()
+            )
             assert np.array_equal(coords, tree.points[pid])
 
     def test_two_records_in_one_block_cost_one_block(self, quantized_tree):
@@ -143,14 +150,15 @@ class TestExactStore:
         assert tree.disk.stats.blocks_read - before == 1
         assert len(found) == 2 and store.refinements == 2
 
-    def test_fetch_reuses_blocks_of_fetch_all(self, quantized_tree):
+    def test_refine_reuses_blocks_of_fetch_all(self, quantized_tree):
         tree = quantized_tree
         page = refined_page(tree)
         store = ExactStore(tree)
         store.fetch_all([(page, 0)])
         before = tree.disk.stats.blocks_read
-        store.fetch(page, 1)
+        store.refine(np.full(tree.dim, 0.5), page, 1)
         assert tree.disk.stats.blocks_read == before
+        assert store.refinements == 2
 
     def test_quarantined_block_keys_land_in_failed(self, quantized_tree):
         tree = quantized_tree
