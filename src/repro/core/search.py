@@ -19,17 +19,25 @@ the pruning bound the next window is planned with.
 
 A processed page's cells do not enter the list one by one.  They are
 sorted once into a *run* ordered by ``(lower bound, local index)`` and
-only the run's head sits in the heap; popping it pushes the run's next
-cell.  A page reserves a contiguous block of tie-break numbers, one per
-row, when it is *read* (in read order, sized by the payload header); its
-surviving cells are numbered from that block in local order.  A cell's
-box lies inside its page's MBR, so its lower bound is at least the
-page's mindist, and a page entry's tie is below every cell's: a page
-always pops before its cells.  Cells a page drops under the smaller
-bound at its turn could never have popped.  So the heap pops exactly the
-cells, in the same order, that a list which entered every cell when its
-page was read would pop -- same refinements, same ledger -- for one
-push per page plus one per refined point instead of one per cell.
+only the run's head sits in the heap.  A page reserves a contiguous
+block of tie-break numbers, one per row, when it is *read* (in read
+order, sized by the payload header); its surviving cells are numbered
+from that block in local order.  A cell's box lies inside its page's
+MBR, so its lower bound is at least the page's mindist, and a page
+entry's tie is below every cell's: a page always pops before its cells.
+Cells a page drops under the smaller bound at its turn could never have
+popped.  So the heap pops exactly the cells, in the same order, that a
+list which entered every cell when its page was read would pop -- same
+refinements, same ledger.
+
+When a run's head pops, the k-NN search keeps taking the run's next
+cells while each stays below every other heap entry and within the
+pruning bound (:func:`_drain`).  That *stretch* is refined without
+touching the heap -- the records the third level has already decoded
+for this query are offered to the result a segment at a time -- and
+only the first cell past it goes back in.  So the k-NN heap sees one
+push per page plus one per run segment, not one per cell or per refined
+point.  Distance browsing pops a run one cell at a time (:func:`_pop`).
 
 Two page-access strategies are available:
 
@@ -193,6 +201,20 @@ class _Run:
             self.page, int(self.items[pos]), self, pos,
         )
 
+    def below(self, entry: tuple, start: int) -> int:
+        """The first position from ``start`` on whose ``(dist, tie)``
+        is not below ``entry``'s (runs ascend by both)."""
+        dist, tie = entry[0], entry[1]
+        if start == self.dists.size or (
+            (self.dists[start], self.ties[start]) > (dist, tie)
+        ):
+            return start
+        pos = int(np.searchsorted(self.dists, dist))
+        if pos < self.dists.size and self.dists[pos] == dist:
+            end = int(np.searchsorted(self.dists, dist, side="right"))
+            pos += int(np.searchsorted(self.ties[pos:end], tie))
+        return pos
+
 
 def _push_run(heap, ties: _Ties, kind, page, dists, items) -> None:
     """Enter candidates as one run: push only its smallest entry.
@@ -215,6 +237,64 @@ def _pop(heap) -> tuple:
     if run is not None and pos < run.dists.size:
         heapq.heappush(heap, run.entry(pos))
     return entry
+
+
+#: Stretches shorter than this are refined point by point: a vectorized
+#: offer has a fixed cost of about ten numpy calls, which a handful of
+#: scalar look-ups undercuts.
+_SHORT_STRETCH = 8
+
+
+def _drain(heap, exact: ExactStore, query, best: KBest, refine) -> int:
+    """Refine the point at the heap top and the stretch of its run that
+    would pop right after it; returns the run position past the stretch.
+
+    The stretch is the run's following points while each stays below
+    every other heap entry and its lower bound within the pruning
+    bound: the points :func:`_pop` would take one by one, in the same
+    order, but without a heap push and pop per point.  Records already
+    decoded for this query are offered a segment at a time
+    (:meth:`KBest.offer_stretch`).  A record that needs a third-level
+    read, or one of fewer than ``_SHORT_STRETCH`` left in the stretch,
+    goes through ``refine(page, local)`` on its own, in its turn.  The
+    run's first point past the stretch replaces the top.  An entry
+    pushed without a run is popped and refined alone.
+    """
+    top = heap[0]
+    run, pos = top[5], top[6]
+    if run is None:
+        heapq.heappop(heap)
+        refine(top[3], top[4])
+        return pos + 1
+    lowers, items = run.dists, run.items
+    end = lowers.size
+    if len(heap) > 1:
+        rival = heap[1] if len(heap) == 2 or heap[1] < heap[2] else heap[2]
+        end = run.below(rival, pos + 1)
+    state = exact.decoded_page(query, run.page)
+    while pos < end and lowers[pos] <= best.bound():
+        if end - pos < _SHORT_STRETCH or not state.decoded[items[pos]]:
+            refine(run.page, int(items[pos]))
+            pos += 1
+            continue
+        locals_ = items[pos:end]
+        decoded = state.decoded[locals_]
+        size = locals_.size if decoded.all() else int(decoded.argmin())
+        locals_ = locals_[:size]
+        taken = best.offer_stretch(
+            lowers[pos : pos + size],
+            state.distances[locals_],
+            state.ids[locals_],
+        )
+        exact.count_refinements(taken)
+        pos += taken
+        if taken < size:
+            break
+    if pos < lowers.size:
+        heapq.heapreplace(heap, run.entry(pos))
+    else:
+        heapq.heappop(heap)
+    return pos
 
 
 def _page_entries(page_mindists: np.ndarray) -> list[tuple]:
@@ -343,6 +423,45 @@ class KBest:
         for dist, pid in zip(dists, ids):
             self.offer(float(dist), int(pid))
 
+    def offer_stretch(
+        self, lowers: np.ndarray, dists: np.ndarray, ids: np.ndarray
+    ) -> int:
+        """Offer candidates in order while each one's lower bound is
+        within the pruning bound; returns how many were offered.
+
+        ``lowers`` ascend.  Equal, in the count and in the kept
+        ``(distance, id)`` pairs, to::
+
+            for i in range(len(lowers)):
+                if lowers[i] > self.bound():
+                    break
+                self.offer(dists[i], ids[i])
+
+        Once k candidates are kept, only a *hit* -- a candidate within
+        the bound -- can change it, and the bound only falls.  So the
+        hits are found in one vectorized pass and offered in turn; the
+        bound holds between two hits, and as ``lowers`` ascend the loop
+        stops before a hit exactly when that hit's lower bound exceeds
+        it.  One ``searchsorted`` then finds where.
+        """
+        heap, n = self._heap, lowers.size
+        taken = min(n, self.k - len(heap))  # offered at an infinite bound
+        for i in range(taken):
+            self.offer(float(dists[i]), int(ids[i]))
+        if taken == n:
+            return n
+        bound = -heap[0][0]
+        hits = np.flatnonzero(dists[taken:] <= bound) + taken
+        for hit in hits.tolist():
+            if lowers[hit] > bound:
+                break
+            self.offer(float(dists[hit]), int(ids[hit]))
+            bound = -heap[0][0]
+            taken = hit + 1
+        return max(
+            int(np.searchsorted(lowers, bound, side="right")), taken
+        )
+
     def sorted_results(self) -> tuple[np.ndarray, np.ndarray]:
         """Drain the heap into ``(ids, dists)`` ascending by
         ``(distance, id)`` -- one vectorized lexsort, no tuple rebuild."""
@@ -438,14 +557,16 @@ def _nearest_impl(
             recorder.decoded.add(page)
         _process_page(tree, query, handle, best, heap, page_ties)
 
+    def refine(page: int, local: int) -> None:
+        _refine(
+            tree, exact, query, page, local, best, intervals, quant_handles
+        )
+
     while heap and heap[0][0] <= best.bound():
-        _dist, _t, kind, page, local, _run, _pos = _pop(heap)
-        if kind == _POINT:
-            _refine(
-                tree, exact, query, page, local, best, intervals,
-                quant_handles,
-            )
+        if heap[0][2] == _POINT:
+            _drain(heap, exact, query, best, refine)
             continue
+        page = _pop(heap)[3]
         if page not in waiting:
             if processed[page]:
                 continue
@@ -654,6 +775,9 @@ def _plan_window(
     The probabilities are evaluated a run of ``ceil(t_seek / t_xfer)``
     blocks at a time -- the fewest steps in which the scan can give up
     after its last accepted block -- in one vectorized pass per run.
+    The scan's first step evaluates the first run on both sides of the
+    pivot in one pass: each side's scan examines at least that run
+    unless a forbidden block or the file's end stops it first.
     """
     n_pages = tree.n_pages
     pending = ~processed
@@ -675,17 +799,23 @@ def _plan_window(
 
     def probability(block: int) -> float:
         if block not in memo:
-            step = 1 if block > pivot else -1
-            blocks = np.arange(block, block + step * run, step)
-            blocks = blocks[(blocks >= 0) & (blocks < n_pages)]
+            if memo:
+                step = 1 if block > pivot else -1
+                blocks = range(block, block + step * run, step)
+            else:  # the scan's first step: the first run on both sides
+                blocks = itertools.chain(
+                    range(max(0, pivot - run), pivot),
+                    range(pivot + 1, pivot + run + 1),
+                )
+            blocks = [b for b in blocks if 0 <= b < n_pages]
             snaps = snapshot_of[blocks]
-            probs = np.zeros(blocks.size)
+            probs = np.zeros(len(blocks))
             live = snaps >= 0
             if live.any():
                 probs[live] = access_probabilities(
                     query, view, snaps[live], metric=tree.metric, k=k
                 )
-            memo.update(zip(blocks.tolist(), probs.tolist()))
+            memo.update(zip(blocks, probs.tolist()))
         prob = memo[block]
         if snapshot_of[block] >= 0:
             examined[block] = prob

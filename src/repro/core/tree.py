@@ -926,6 +926,25 @@ class ExactStore:
         Reads exactly the blocks a one-record reader would: those of
         this record that no earlier call cached, in ascending order.
         """
+        state = self.decoded_page(query, page)
+        if not state.decoded[local_index]:
+            first = int(self._tree._exact_firsts[page])
+            b0, b1, _ = self._spans(first, local_index)
+            for b in range(b0, b1 + 1):
+                if b not in self._cache:
+                    self._cache[b] = self._read_block(b)
+            self._decode_blocks(query, first, state, b0, b1)
+        self.count_refinements(1)
+        return (
+            float(state.distances[local_index]), int(state.ids[local_index])
+        )
+
+    def decoded_page(self, query: np.ndarray, page: int) -> _RefinedPage:
+        """The records of ``page`` decoded so far for ``query``: their
+        distances to it, their ids and the mask of filled slots.  A
+        caller that takes a decoded record's distance from here instead
+        of calling :meth:`refine` counts it with
+        :meth:`count_refinements`."""
         if query is not self._query:
             self._query = query
             self._refined.clear()
@@ -934,19 +953,13 @@ class ExactStore:
             state = self._refined[page] = _RefinedPage(
                 int(self._tree._counts[page])
             )
-        if not state.decoded[local_index]:
-            first = int(self._tree._exact_firsts[page])
-            b0, b1, _ = self._spans(first, local_index)
-            for b in range(b0, b1 + 1):
-                if b not in self._cache:
-                    self._cache[b] = self._read_block(b)
-            self._decode_blocks(query, first, state, b0, b1)
-        self.refinements += 1
-        if REGISTRY.enabled:
-            REFINEMENTS.inc()
-        return (
-            float(state.distances[local_index]), int(state.ids[local_index])
-        )
+        return state
+
+    def count_refinements(self, n: int) -> None:
+        """Count ``n`` refined records (here and in ``REFINEMENTS``)."""
+        self.refinements += n
+        if REGISTRY.enabled and n:
+            REFINEMENTS.inc(n)
 
     def _decode_blocks(
         self, query, first: int, state: _RefinedPage, b0: int, b1: int

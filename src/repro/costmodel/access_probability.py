@@ -174,15 +174,20 @@ def access_probabilities(
     # rate = -log P(no point in any intersection); exp(-rate) is eq. 2
     # exactly, and doubles as the Poisson rate for k > 1.  Each target
     # sums its own compacted page set in pending order: a masked or
-    # padded row would regroup numpy's pairwise sum.
+    # padded row would regroup numpy's pairwise sum.  The compacted
+    # rows lie end to end in ``picked``, so each is one slice of it.
+    higher = higher[live]
+    picked = terms[higher]
+    ends = np.cumsum(higher.sum(axis=1)).tolist()
     rates = np.array(
         [
-            -float(np.add.reduce(row[mask]))
-            for row, mask in zip(terms, higher[live])
+            -float(np.add.reduce(picked[start:end]))
+            for start, end in zip([0] + ends, ends)
         ]
     )
+    # The Poisson tail is capped at 1, so no probability leaves [0, 1].
     results[live] = _poisson_lower_tail(rates, k)
-    return np.clip(results, 0.0, 1.0)
+    return results
 
 
 def _poisson_lower_tail(rates: np.ndarray, k: int) -> np.ndarray:
@@ -262,5 +267,7 @@ def _fraction_block(
         frac[dims, :, cols] = (edge >= low[dims, :, 0]) & (
             edge <= high[dims, :, 0]
         )
-    np.clip(frac, 0.0, 1.0, out=frac)
+    # Every fraction already lies in [0, 1]: the overlap is clamped at
+    # 0, and as rounding is monotone it never exceeds the side it is
+    # divided by; a flat side's is 0 or 1.
     return np.multiply.reduce(frac, axis=0)

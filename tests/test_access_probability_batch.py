@@ -7,12 +7,15 @@ at a time, each over its own higher-priority page set (eqs. 2-5).  The
 reference below is that evaluation, kept here only as the oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import search as search_mod
+from repro.core.diagnostics import explain_query
 from repro.core.tree import IQTree
 from repro.costmodel.access_probability import (
     PageView,
@@ -21,6 +24,7 @@ from repro.costmodel.access_probability import (
     effective_cube_radius,
 )
 from repro.datasets import gaussian_clusters
+from repro.geometry.mbr import mindist_to_boxes
 from repro.geometry.metrics import EUCLIDEAN, MAXIMUM, LpMetric
 from repro.storage.disk import DiskModel, SimulatedDisk
 from repro.storage.scheduler import cost_balance_window
@@ -304,3 +308,81 @@ class TestWindowIdentity:
                                           forbidden=forbidden)
             want = reference_window(small_tree, *args, forbidden=forbidden)
             assert got == want
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_pivot_at_either_end(self, small_tree, end, k):
+        # One side of the scan is empty: the first pass holds one run.
+        pivot = 0 if end == "first" else small_tree.n_pages - 1
+        for bound in (np.inf, 0.5):
+            args = _window_args(small_tree, pivot, bound, k)
+            got = search_mod._plan_window(small_tree, *args)
+            assert got == reference_window(small_tree, *args)
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_fewer_pages_than_one_run(self, k):
+        tree = _build("euclidean-default-disk")
+        assert tree.n_pages < math.ceil(tree.disk.model.overread_window)
+        for pivot in range(tree.n_pages):
+            args = _window_args(tree, pivot, np.inf, k)
+            got = search_mod._plan_window(tree, *args)
+            assert got == reference_window(tree, *args)
+            assert sorted(got[3]) == [
+                j for j in range(tree.n_pages) if j != pivot
+            ]
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_forbidden_block_next_to_the_pivot(self, small_tree, side):
+        # The scan on that side stops at once: the first pass computed
+        # its run, but none of it was examined.
+        pivots = [
+            p for p in range(small_tree.n_pages)
+            if 0 <= p + side < small_tree.n_pages
+        ]
+        for pivot in pivots[:: max(1, len(pivots) // 6)]:
+            forbidden = frozenset({pivot + side})
+            args = _window_args(small_tree, pivot, np.inf, 3)
+            got = search_mod._plan_window(small_tree, *args,
+                                          forbidden=forbidden)
+            want = reference_window(small_tree, *args, forbidden=forbidden)
+            assert got == want
+            assert not [j for j in got[3] if (j - pivot) * side > 0]
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_explanation_holds_only_examined_blocks(self, small_tree,
+                                                    monkeypatch, k):
+        rng = np.random.default_rng(2)
+        lo, hi = small_tree.points.min(axis=0), small_tree.points.max(axis=0)
+        for _ in range(4):
+            query = lo + rng.random(small_tree.dim) * (hi - lo)
+            windows = []
+            original = search_mod._plan_window
+
+            def recording(*args, **kwargs):
+                windows.append(original(*args, **kwargs))
+                return windows[-1]
+
+            monkeypatch.setattr(search_mod, "_plan_window", recording)
+            explanation = explain_query(small_tree, query, k=k)
+            monkeypatch.undo()
+            examined = {}
+            for window in windows:
+                examined.update(window[3])
+            for decision in explanation.decisions:
+                if decision.outcome == "pivot":
+                    assert decision.access_probability is None
+                else:
+                    assert decision.access_probability == examined.get(
+                        decision.page
+                    )
+
+
+def _window_args(tree, pivot, bound, k):
+    """Planner arguments for a query at the centre of ``pivot``'s MBR,
+    with no page processed yet."""
+    query = (tree._lowers[pivot] + tree._uppers[pivot]) / 2
+    page_mindists = mindist_to_boxes(
+        query, tree._lowers, tree._uppers, tree.metric
+    )
+    processed = np.zeros(tree.n_pages, dtype=bool)
+    return query, pivot, page_mindists, processed, bound, k

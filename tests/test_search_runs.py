@@ -23,8 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import search
+from repro import obs
 from repro.core.search import browse_by_distance, locate_address
-from repro.core.tree import IQTree
+from repro.core.tree import ExactStore, IQTree
+from repro.obs.instruments import REFINEMENTS
 from repro.datasets import gaussian_clusters, make_workload
 from repro.storage.runtime_faults import ReadFaultInjector
 from tests.scenarios import assert_matches_scan, scenarios
@@ -47,17 +49,36 @@ def eager():
 
 @contextlib.contextmanager
 def recorded_pops():
-    """Log the ``(dist, tie, kind, page, item)`` of every heap pop -- the
-    sequence the run merge must reproduce exactly."""
+    """Log the ``(dist, tie, kind, page, item)`` of every entry the
+    search takes -- the sequence the run merge must reproduce exactly.
+
+    Entries leave the priority list through two functions: ``_pop``
+    takes one entry, and the k-NN search's ``_drain`` takes the point
+    at the top together with the stretch of its run that would pop
+    next.  A drained stretch is logged entry by entry; an entry pushed
+    without a run (the eager oracle's) is taken alone.
+    """
     pops: list[tuple] = []
-    real_pop = search._pop
+    real_pop, real_drain = search._pop, search._drain
 
     def pop(heap):
         entry = real_pop(heap)
         pops.append(entry[:5])
         return entry
 
-    with mock.patch.object(search, "_pop", pop):
+    def drain(heap, *args):
+        top = heap[0]
+        stop = real_drain(heap, *args)
+        run = top[5]
+        if run is None:
+            pops.append(top[:5])
+        else:
+            pops.extend(run.entry(pos)[:5] for pos in range(top[6], stop))
+        return stop
+
+    with mock.patch.object(search, "_pop", pop), mock.patch.object(
+        search, "_drain", drain
+    ):
         yield pops
 
 
@@ -184,7 +205,10 @@ class TestBrowseMatchesEagerOracle:
 
 
 class _CountingHeapq:
-    """Stands in for the ``heapq`` module inside repro.core.search."""
+    """Stands in for the ``heapq`` module inside repro.core.search.  A
+    ``heapreplace`` of a priority-list entry -- a drained run's next
+    entry taking the top's place -- counts as a push; the k-best heap's
+    ``(distance, id)`` replacements do not."""
 
     def __init__(self):
         self.pushes = 0
@@ -192,6 +216,10 @@ class _CountingHeapq:
     def heappush(self, heap, item):
         self.pushes += 1
         heapq.heappush(heap, item)
+
+    def heapreplace(self, heap, item):
+        self.pushes += len(item) > 2
+        return heapq.heapreplace(heap, item)
 
     def __getattr__(self, name):
         return getattr(heapq, name)
@@ -243,9 +271,10 @@ class TestClusteredPQ:
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_heap_pushes_bounded(self, clustered_pq_tree, scheduler):
-        """Complexity guard: one push per loaded page and per refined
-        point, plus the k-best heap's own pushes (at most k <= n_pages);
-        the eager filter stage pushed every surviving cell, about n."""
+        """Complexity guard: one push per loaded page and per run
+        segment (at most one per refined point), plus the k-best heap's
+        own pushes (at most k <= n_pages); the eager filter stage pushed
+        every surviving cell, about n."""
         tree, queries = clustered_pq_tree
         k = 10
         assert k <= tree.n_pages
@@ -259,3 +288,45 @@ class TestClusteredPQ:
             with eager(), mock.patch.object(search, "heapq", eager_counter):
                 tree.nearest(query, k=k, scheduler=scheduler)
             assert eager_counter.pushes > 4 * counter.pushes
+
+
+#: ``NNResult.refinements`` of the clustered PQ tree's queries, by k:
+#: the counts the one-entry-per-point search made.
+PINNED_REFINEMENTS = {
+    1: [25, 28, 26, 19, 70, 83],
+    10: [97, 103, 76, 71, 110, 108],
+    50: [114, 125, 134, 111, 132, 118],
+}
+
+
+class TestRefinementCounter:
+    """A drained stretch counts its decoded records as refinements
+    without calling ``ExactStore.refine``; the registry counter must see
+    each of them once, as ``NNResult.refinements`` does."""
+
+    @pytest.mark.parametrize("k", sorted(PINNED_REFINEMENTS))
+    def test_counter_equals_result(self, clustered_pq_tree, monkeypatch, k):
+        tree, queries = clustered_pq_tree
+        calls = []
+        real_refine = ExactStore.refine
+
+        def refine(store, *args):
+            calls.append(args)
+            return real_refine(store, *args)
+
+        monkeypatch.setattr(ExactStore, "refine", refine)
+        obs.registry.reset()
+        obs.enable()
+        try:
+            counts = []
+            for query in queries:
+                before = REFINEMENTS.value()
+                result = tree.nearest(query, k=k)
+                assert REFINEMENTS.value() - before == result.refinements
+                counts.append(result.refinements)
+        finally:
+            obs.disable()
+            obs.registry.reset()
+        assert counts == PINNED_REFINEMENTS[k]
+        # Most of them are stretch look-ups, not calls of refine.
+        assert 2 * len(calls) < sum(counts)
