@@ -90,13 +90,10 @@ def _pristine_read_blocks(self, start, count, overread=0):
 
 
 def _pristine_lookup(self, address):
-    i = self._shard_of(address)
-    with self._locks[i]:
-        hit = address in self._shards[i]
+    with self._lock:
+        hit = address in self._resident
         if hit:
-            self._shards[i].move_to_end(address)
-    with self._stats_lock:
-        if hit:
+            self._resident.move_to_end(address)
             self.hits += 1
         else:
             self.misses += 1
@@ -104,7 +101,7 @@ def _pristine_lookup(self, address):
 
 
 def _pristine_record(self, hits=0, misses=0):
-    with self._stats_lock:
+    with self._lock:
         self.hits += hits
         self.misses += misses
 
@@ -112,17 +109,13 @@ def _pristine_record(self, hits=0, misses=0):
 def _pristine_admit(self, address):
     if self.capacity == 0:
         return
-    i = self._shard_of(address)
-    with self._locks[i]:
-        shard = self._shards[i]
-        if address in shard:
-            shard.move_to_end(address)
+    with self._lock:
+        if address in self._resident:
+            self._resident.move_to_end(address)
             return
-        if self._shard_caps[i] == 0:
-            return
-        if len(shard) >= self._shard_caps[i]:
-            shard.popitem(last=False)
-        shard[address] = None
+        if len(self._resident) >= self.capacity:
+            self._resident.popitem(last=False)
+        self._resident[address] = None
 
 
 def _pristine_span(name, disk=None, **attrs):

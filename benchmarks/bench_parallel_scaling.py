@@ -12,7 +12,7 @@ keeps them clearly apart:
   every round re-fetches and re-decodes its candidate pages (the
   engine's per-batch amortization still applies *within* a round);
 * **cached-parallel**: the full serving stack --
-  ``QueryEngine(workers=4)`` with a lock-striped
+  ``QueryEngine(workers=4)`` with a
   :class:`~repro.storage.cache.BufferPool` over the block level and one
   :class:`~repro.engine.page_cache.DecodedPageCache` shared across
   rounds: the first round decodes, later rounds serve pages (and their
@@ -125,7 +125,7 @@ def result() -> dict:
     )
 
     tree_p, _ = build_fixture()
-    pool = BufferPool(2048, stripes=WORKERS)
+    pool = BufferPool(2048)
     engine = tree_p.query_engine(
         pool=pool, workers=WORKERS, decode_cache=64 << 20
     )

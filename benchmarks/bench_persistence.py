@@ -1,15 +1,15 @@
 """Extension bench -- persistence: save/load wall time and container size.
 
-The v2 container doubles the coordinate payload (float64 vs the lossy
-float32 of v1) but replaces the JSON-list partition index with packed
-binary arrays, so total size stays comparable; this bench pins that
-trade-off with real numbers and times the full save -> fsck -> load
-cycle host-side (wall clock, not simulated disk time -- persistence is
-the one layer that does real I/O).
+The container stores full-precision float64 coordinates (twice a
+float32 copy of the points) beside a packed binary partition index and
+CRCs; this bench pins its size against the float32 payload with real
+numbers and times the full save -> fsck -> load cycle host-side (wall
+clock, not simulated disk time -- persistence is the one layer that
+does real I/O).
 
 Runs in smoke mode in CI (``IQ_REPRO_SCALE=0.1``); asserts are
-scale-independent: the round-trip is bit-exact, fsck passes, and v2
-stays within 2.5x of the v1 container it replaces.
+scale-independent: the round-trip is bit-exact, fsck passes, and the
+container stays within 2.5x of the float32 coordinate payload.
 """
 
 import time
@@ -26,7 +26,6 @@ from repro.storage.persistence import (
     load_iqtree,
     save_iqtree,
     verify_container,
-    write_legacy_v1,
 )
 
 DIM = 10
@@ -66,19 +65,17 @@ def test_fsck_wall_time(benchmark, container):
     assert report.ok
 
 
-def test_container_size_vs_v1(tree, container, tmp_path):
-    v1 = tmp_path / "legacy.iqt"
-    write_legacy_v1(tree, v1)
-    v1_size = v1.stat().st_size
-    v2_size = container.stat().st_size
+def test_container_size_vs_float32_payload(tree, container):
+    f32_size = tree.n_points * tree.dim * 4
+    size = container.stat().st_size
     payload = tree.n_points * tree.dim * 8
     lines = [
         "persistence containers "
         f"({tree.n_points} points, {tree.dim}-d):",
-        f"  v1 (float32, JSON index)   {v1_size:>12,} bytes",
-        f"  v2 (float64, CRC, binary)  {v2_size:>12,} bytes "
-        f"({v2_size / v1_size:.2f}x v1)",
-        f"  v2 payload share           {payload / v2_size:>11.1%}",
+        f"  float32 coordinate payload {f32_size:>12,} bytes",
+        f"  IQTREE02 (float64, CRC)    {size:>12,} bytes "
+        f"({size / f32_size:.2f}x float32)",
+        f"  float64 payload share      {payload / size:>11.1%}",
     ]
     text = "\n".join(lines)
     print("\n" + text)
@@ -86,7 +83,7 @@ def test_container_size_vs_v1(tree, container, tmp_path):
     out_dir.mkdir(exist_ok=True)
     (out_dir / "extension-persistence.txt").write_text(text + "\n")
     # Full-precision coordinates cost at most the payload doubling.
-    assert v2_size < 2.5 * v1_size
+    assert size < 2.5 * f32_size
 
 
 def test_round_trip_bit_exact_and_fast_enough(tree, container):

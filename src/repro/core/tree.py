@@ -761,11 +761,6 @@ class IQTree:
         """
         self._fault_ctx = None
 
-    @property
-    def fault_context(self):
-        """The attached FaultContext, or None."""
-        return self._fault_ctx
-
     # ------------------------------------------------------------------
     # Internal I/O helpers used by the search algorithms
     # ------------------------------------------------------------------

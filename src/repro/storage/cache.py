@@ -12,12 +12,7 @@ all three IQ-tree files (hot directory blocks stay resident while cold
 data pages cycle), and the same pool object can be shared by several
 indexes on one disk.
 
-The pool is thread-safe.  Residency is *lock-striped*: the address
-space is sharded over ``stripes`` independent LRU segments, each behind
-its own lock, so concurrent workers touching different blocks never
-serialize on one global mutex.  With the default single stripe the
-eviction behavior is exactly the classic global LRU the earlier
-milestones shipped (and the tests pin).
+The pool is thread-safe: one lock guards residency and the counters.
 """
 
 from __future__ import annotations
@@ -38,52 +33,32 @@ __all__ = ["BufferPool", "CachedBlockFile"]
 
 
 class BufferPool:
-    """A fixed-capacity, lock-striped LRU set of resident addresses.
+    """A fixed-capacity LRU set of resident addresses.
 
     Parameters
     ----------
     capacity:
         Maximum number of blocks held (0 disables caching).
-    stripes:
-        Number of independent LRU segments the address space is sharded
-        over (``address % stripes``).  One stripe (the default) is the
-        classic global LRU; more stripes trade a slightly partitioned
-        eviction policy for uncontended concurrent access.  ``capacity``
-        is split as evenly as possible across stripes.
     """
 
-    def __init__(self, capacity: int, stripes: int = 1):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise StorageError("pool capacity must be non-negative")
-        if stripes < 1:
-            raise StorageError("pool must have at least one stripe")
         self.capacity = int(capacity)
-        self.stripes = int(stripes)
-        self._shards: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.stripes)
-        ]
-        base, extra = divmod(self.capacity, self.stripes)
-        self._shard_caps = [
-            base + (1 if i < extra else 0) for i in range(self.stripes)
-        ]
-        self._locks = [threading.RLock() for _ in range(self.stripes)]
-        self._stats_lock = threading.Lock()
+        self._resident: OrderedDict[int, None] = OrderedDict()
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
     def __getstate__(self) -> dict:
-        # Locks cannot be copied/pickled; the clone gets fresh ones.
+        # Locks cannot be copied/pickled; the clone gets a fresh one.
         state = self.__dict__.copy()
-        del state["_locks"], state["_stats_lock"]
+        del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._locks = [threading.RLock() for _ in range(self.stripes)]
-        self._stats_lock = threading.Lock()
-
-    def _shard_of(self, address: int) -> int:
-        return address % self.stripes
+        self._lock = threading.RLock()
 
     def lookup(self, address: int) -> bool:
         """True (and refresh recency) if ``address`` is resident.
@@ -92,13 +67,10 @@ class BufferPool:
         :attr:`hit_rate` and refreshes LRU recency.  Planning passes
         that only need to know residency must use :meth:`peek`.
         """
-        i = self._shard_of(address)
-        with self._locks[i]:
-            hit = address in self._shards[i]
+        with self._lock:
+            hit = address in self._resident
             if hit:
-                self._shards[i].move_to_end(address)
-        with self._stats_lock:
-            if hit:
+                self._resident.move_to_end(address)
                 self.hits += 1
                 if REGISTRY.enabled:
                     POOL_HITS.inc()
@@ -115,9 +87,8 @@ class BufferPool:
         counters nor the LRU recency order, so fetch *planning* can
         probe the pool without skewing statistics or eviction order.
         """
-        i = self._shard_of(address)
-        with self._locks[i]:
-            return address in self._shards[i]
+        with self._lock:
+            return address in self._resident
 
     def record(self, hits: int = 0, misses: int = 0) -> None:
         """Charge pre-planned lookups to the counters.
@@ -128,7 +99,7 @@ class BufferPool:
         """
         if hits < 0 or misses < 0:
             raise StorageError("lookup counts must be non-negative")
-        with self._stats_lock:
+        with self._lock:
             self.hits += hits
             self.misses += misses
             if REGISTRY.enabled:
@@ -138,46 +109,33 @@ class BufferPool:
                     POOL_MISSES.inc(misses)
 
     def admit(self, address: int) -> None:
-        """Insert ``address``, evicting the least recently used block
-        of its stripe."""
+        """Insert ``address``, evicting the least recently used block."""
         if self.capacity == 0:
             return
-        i = self._shard_of(address)
-        evicted = False
-        with self._locks[i]:
-            shard = self._shards[i]
-            if address in shard:
-                shard.move_to_end(address)
+        with self._lock:
+            if address in self._resident:
+                self._resident.move_to_end(address)
                 return
-            # A zero-capacity stripe (capacity < stripes) never admits.
-            if self._shard_caps[i] == 0:
-                return
-            if len(shard) >= self._shard_caps[i]:
-                shard.popitem(last=False)
-                evicted = True
-            shard[address] = None
-        if evicted and REGISTRY.enabled:
-            # Counter writes share one lock so stripes cannot race the
-            # registry (its instruments are not themselves locked).
-            with self._stats_lock:
-                POOL_EVICTIONS.inc()
+            if len(self._resident) >= self.capacity:
+                self._resident.popitem(last=False)
+                if REGISTRY.enabled:
+                    POOL_EVICTIONS.inc()
+            self._resident[address] = None
 
     def invalidate(self, address: int) -> None:
         """Drop one address (used when a block is rewritten)."""
-        i = self._shard_of(address)
-        with self._locks[i]:
-            self._shards[i].pop(address, None)
+        with self._lock:
+            self._resident.pop(address, None)
 
     def clear(self) -> None:
         """Drop everything (counters are kept)."""
-        for i in range(self.stripes):
-            with self._locks[i]:
-                self._shards[i].clear()
+        with self._lock:
+            self._resident.clear()
 
     @property
     def resident_count(self) -> int:
         """Number of blocks currently held."""
-        return sum(len(shard) for shard in self._shards)
+        return len(self._resident)
 
     @property
     def hit_rate(self) -> float:

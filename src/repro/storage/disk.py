@@ -162,15 +162,6 @@ class IOStats:
             elapsed=self.elapsed + other.elapsed,
         )
 
-    def as_dict(self) -> dict:
-        """The four counters as a plain dict (JSON/trace export)."""
-        return {
-            "seeks": self.seeks,
-            "blocks_read": self.blocks_read,
-            "blocks_overread": self.blocks_overread,
-            "elapsed": self.elapsed,
-        }
-
     def reset(self) -> None:
         """Zero all counters."""
         self.seeks = 0

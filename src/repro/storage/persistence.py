@@ -38,13 +38,6 @@ the failing section.  ``load_iqtree(path, verify=True)`` additionally
 re-serializes the freshly loaded tree and compares it byte-for-byte
 against the container -- the strongest possible round-trip check,
 covering the re-laid-out level files via their content CRCs.
-
-Version 1 containers (magic ``IQTREE01``) are still readable, with a
-:class:`UserWarning`: that format stored coordinates as float32, so
-loading one can silently change query answers for data that is not
-float32-representable.  v1 containers carry no checksums and cannot be
-written anymore (except through :func:`write_legacy_v1`, kept for the
-format-migration tests and benchmarks).
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,14 +67,11 @@ __all__ = [
     "serialize_iqtree",
     "verify_container",
     "section_spans",
-    "write_legacy_v1",
     "FsckReport",
     "SectionStatus",
     "MAGIC_V2",
-    "MAGIC_V1",
 ]
 
-MAGIC_V1 = b"IQTREE01"
 MAGIC_V2 = b"IQTREE02"
 
 #: fixed header after the magic: three section lengths, four CRCs
@@ -270,10 +259,7 @@ def load_iqtree(
     disk, i.e. ``disk=None``, so the recorded disk parameters match).
 
     A fresh simulated disk with the saved timing model is created
-    unless one is supplied.  Legacy ``IQTREE01`` containers load
-    read-only with a :class:`UserWarning` about their float32
-    precision loss; they carry no checksums, so ``verify=True`` is
-    rejected for them.
+    unless one is supplied.
     """
     try:
         tree = _load_iqtree(path, disk, verify=verify)
@@ -294,37 +280,20 @@ def _load_iqtree(
     path, disk: SimulatedDisk | None, *, verify: bool
 ) -> IQTree:
     raw = Path(path).read_bytes()
-    magic = raw[: len(MAGIC_V2)]
-    if magic == MAGIC_V2:
-        if verify and disk is not None:
-            raise StorageError(
-                "verify=True compares against the recorded disk "
-                "parameters; load with disk=None to verify"
-            )
-        tree = _load_v2(raw, path, disk)
-        if verify and serialize_iqtree(tree) != raw:
-            raise IntegrityError(
-                f"{path}: container does not round-trip: re-serializing "
-                "the loaded tree produced different bytes"
-            )
-        return tree
-    if magic == MAGIC_V1:
-        if verify:
-            raise StorageError(
-                f"{path}: legacy v1 containers carry no checksums and "
-                "cannot be verified; re-save to upgrade to v2"
-            )
-        warnings.warn(
-            f"{path}: legacy IQTREE01 container stores float32 "
-            "coordinates; non-float32-representable data was rounded "
-            "at save time and query answers may differ from the "
-            "original tree. Re-save to upgrade to the lossless v2 "
-            "format.",
-            UserWarning,
-            stacklevel=2,
+    if raw[: len(MAGIC_V2)] != MAGIC_V2:
+        raise StorageError(f"{path}: not an IQ-tree container")
+    if verify and disk is not None:
+        raise StorageError(
+            "verify=True compares against the recorded disk "
+            "parameters; load with disk=None to verify"
         )
-        return _load_v1(raw, path, disk)
-    raise StorageError(f"{path}: not an IQ-tree container")
+    tree = _load_v2(raw, path, disk)
+    if verify and serialize_iqtree(tree) != raw:
+        raise IntegrityError(
+            f"{path}: container does not round-trip: re-serializing "
+            "the loaded tree produced different bytes"
+        )
+    return tree
 
 
 def _v2_spans(raw: bytes, path) -> dict[str, tuple[int, int]]:
@@ -596,7 +565,6 @@ class FsckReport:
     """Per-section verification report of one container file."""
 
     path: str
-    version: int
     sections: list[SectionStatus]
 
     @property
@@ -604,7 +572,7 @@ class FsckReport:
         return all(s.ok for s in self.sections)
 
     def summary(self) -> str:
-        lines = [f"{self.path}: IQTREE{self.version:02d} container"]
+        lines = [f"{self.path}: IQTREE02 container"]
         for s in self.sections:
             mark = "ok " if s.ok else "BAD"
             lines.append(f"  {s.name:<8} {mark}  {s.detail}")
@@ -663,10 +631,8 @@ def _codec_expectation_status(
 
 def _verify_container(path, expect_codec: str | None = None) -> FsckReport:
     raw = Path(path).read_bytes()
-    if raw[: len(MAGIC_V1)] == MAGIC_V1:
-        return _fsck_v1(raw, path, expect_codec)
     sections: list[SectionStatus] = []
-    report = FsckReport(str(path), 2, sections)
+    report = FsckReport(str(path), sections)
     if raw[: len(MAGIC_V2)] != MAGIC_V2:
         sections.append(
             SectionStatus("header", False, "not an IQ-tree container")
@@ -725,150 +691,3 @@ def _verify_container(path, expect_codec: str | None = None) -> FsckReport:
                 SectionStatus("codec", False, "unverifiable: bad meta")
             )
     return report
-
-
-def _fsck_v1(
-    raw: bytes, path, expect_codec: str | None = None
-) -> FsckReport:
-    sections: list[SectionStatus] = []
-    report = FsckReport(str(path), 1, sections)
-    if expect_codec is not None:
-        # Legacy v1 predates codec tags entirely: grid-everything.
-        sections.append(
-            _codec_expectation_status("grid", "dense", expect_codec)
-        )
-    note = "legacy v1: no checksum"
-    offset = len(MAGIC_V1)
-    if len(raw) < offset + 8:
-        sections.append(SectionStatus("header", False, "truncated"))
-        return report
-    header_len = int.from_bytes(raw[offset : offset + 8], "little")
-    offset += 8
-    try:
-        header = json.loads(raw[offset : offset + header_len])
-        n, dim = int(header["n_points"]), int(header["dim"])
-    except (ValueError, KeyError, TypeError):
-        sections.append(SectionStatus("header", False, "unparseable JSON"))
-        return report
-    sections.append(
-        SectionStatus("header", True, f"JSON parses ({note})")
-    )
-    have = len(raw) - offset - header_len
-    need = n * dim * 4
-    sections.append(
-        SectionStatus(
-            "payload",
-            have >= need,
-            f"{have} of {need} float32 bytes ({note}, lossy precision)",
-        )
-    )
-    return report
-
-
-# ----------------------------------------------------------------------
-# Legacy v1 (read path + explicit writer for migration tests/benches)
-# ----------------------------------------------------------------------
-def write_legacy_v1(tree: IQTree, path) -> None:
-    """Write the deprecated ``IQTREE01`` format (float32, JSON index).
-
-    Exists only so tests and benchmarks can produce v1 containers to
-    exercise the legacy read path and measure v2 against; everything
-    else should use :func:`save_iqtree`.
-    """
-    tree._ensure_clean()
-    model = tree.disk.model
-    header = {
-        "n_points": tree.n_points,
-        "dim": tree.dim,
-        "metric": tree.metric.name,
-        "charge_directory": tree.charge_directory,
-        "disk": {
-            "t_seek": model.t_seek,
-            "t_xfer": model.t_xfer,
-            "block_size": model.block_size,
-        },
-        "cost_model": {
-            "fractal_dim": tree.cost_model.fractal_dim,
-            "data_space_volume": tree.cost_model.data_space_volume,
-            "k": tree.cost_model.k,
-        },
-        "partitions": [
-            {
-                "indices": opt.partition.indices.tolist(),
-                "bits": opt.bits,
-            }
-            for opt in tree._partitions
-        ],
-    }
-    header_bytes = json.dumps(header).encode("utf-8")
-    payload = tree.points.astype("<f4").tobytes()
-    with open(path, "wb") as handle:
-        handle.write(MAGIC_V1)
-        handle.write(len(header_bytes).to_bytes(8, "little"))
-        handle.write(header_bytes)
-        handle.write(payload)
-
-
-def _load_v1(raw: bytes, path, disk: SimulatedDisk | None) -> IQTree:
-    offset = len(MAGIC_V1)
-    header_len = int.from_bytes(raw[offset : offset + 8], "little")
-    offset += 8
-    try:
-        header = json.loads(raw[offset : offset + header_len])
-    except ValueError as exc:  # JSON or UTF-8 decoding failure
-        raise StorageError(f"{path}: corrupt header") from exc
-    offset += header_len
-
-    n, dim = header["n_points"], header["dim"]
-    need = n * dim * 4
-    if len(raw) - offset < need:
-        raise StorageError(f"{path}: truncated coordinate payload")
-    points = (
-        np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset)
-        .reshape(n, dim)
-        .astype(np.float64)
-    )
-
-    saved_model = DiskModel(**header["disk"])
-    disk = disk or SimulatedDisk(saved_model)
-    if disk.model.block_size != saved_model.block_size:
-        raise StorageError(
-            "supplied disk's block size differs from the saved layout"
-        )
-    metric = get_metric(header["metric"])
-    cm = header["cost_model"]
-    cost_model = CostModel(
-        disk.model,
-        dim,
-        n,
-        fractal_dim=cm["fractal_dim"],
-        data_space_volume=cm["data_space_volume"],
-        metric=metric,
-        k=cm["k"],
-    )
-    solution = []
-    seen: set[int] = set()
-    for p in header["partitions"]:
-        indices = np.asarray(p["indices"], dtype=np.int64)
-        if indices.size == 0 or indices.min() < 0 or indices.max() >= n:
-            raise StorageError(
-                f"{path}: partition index arrays out of range"
-            )
-        members = set(indices.tolist())
-        if len(members) != indices.size or members & seen:
-            raise StorageError(
-                f"{path}: partition index arrays inconsistent"
-            )
-        seen |= members
-        solution.append(
-            OptimizedPartition(Partition.of(points, indices), int(p["bits"]))
-        )
-    return IQTree(
-        points,
-        solution,
-        disk,
-        metric,
-        cost_model,
-        trace=None,
-        charge_directory=header["charge_directory"],
-    )

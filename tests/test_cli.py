@@ -130,16 +130,6 @@ class TestFsck:
         assert "status: corrupt" in out
         assert "payload" in out
 
-    def test_fsck_legacy_v1(self, index_file, tmp_path, capsys):
-        from repro.storage.persistence import load_iqtree, write_legacy_v1
-
-        v1 = tmp_path / "legacy.iqt"
-        write_legacy_v1(load_iqtree(index_file), v1)
-        assert main(["fsck", str(v1)]) == 0
-        out = capsys.readouterr().out
-        assert "IQTREE01" in out
-        assert "no checksum" in out
-
 
 class TestValidate:
     def test_validate_runs(self, index_file, capsys):

@@ -147,7 +147,7 @@ class TestPersistenceRoundTrip:
         path = tmp_path / f"{codec}.iqt"
         save_iqtree(trees[codec], path, fsync=False)
         report = verify_container(path, expect_codec=codec)
-        assert report.ok, report.render()
+        assert report.ok, report.summary()
         # the expectation check is live: grid and pq disagree
         other = "grid" if codec != "grid" else "pq"
         assert not verify_container(path, expect_codec=other).ok

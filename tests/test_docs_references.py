@@ -17,13 +17,16 @@ REFERENCE = re.compile(r"repro/((?:\w+/)*\w+)\.py::(\w+(?:\.\w+)*)")
 
 
 def references():
-    found = []
+    """One case per distinct ``(doc, path, symbol)``, with every line
+    of the doc that names it."""
+    found: dict[tuple[str, str, str], list[int]] = {}
     for doc in sorted([*ROOT.glob("docs/*.md"), ROOT / "README.md"]):
+        name = str(doc.relative_to(ROOT))
         for lineno, line in enumerate(doc.read_text().splitlines(), 1):
             for match in REFERENCE.finditer(line):
-                where = f"{doc.relative_to(ROOT)}:{lineno}"
-                found.append((where, match.group(1), match.group(2)))
-    return found
+                key = (name, match.group(1), match.group(2))
+                found.setdefault(key, []).append(lineno)
+    return [(*key, lines) for key, lines in found.items()]
 
 
 REFERENCES = references()
@@ -34,13 +37,14 @@ def test_docs_name_code():
 
 
 @pytest.mark.parametrize(
-    "where, path, symbol",
+    "doc, path, symbol, lines",
     REFERENCES,
-    ids=[f"{where}:{path}::{symbol}" for where, path, symbol in REFERENCES],
+    ids=[f"{doc}:{path}::{symbol}" for doc, path, symbol, _ in REFERENCES],
 )
-def test_reference_resolves(where, path, symbol):
+def test_reference_resolves(doc, path, symbol, lines):
     module = importlib.import_module("repro." + path.replace("/", "."))
     target = module
+    where = ", ".join(f"{doc}:{n}" for n in lines)
     for part in symbol.split("."):
         assert hasattr(target, part), (
             f"{where}: repro/{path}.py has no {symbol}"

@@ -1,13 +1,11 @@
-"""The cross-batch decoded-page cache and the lock-striped buffer pool.
+"""The cross-batch decoded-page cache.
 
 The :class:`~repro.engine.page_cache.DecodedPageCache` must never serve
 a stale decoded page: its per-entry CRC token has to catch in-place
 ``replace_block`` rewrites (the regression the PR-4 pool-invalidation
 fix guarded at the *block* level), structural re-layouts must clear it
 wholesale, and quarantined pages must bypass it so they are still
-reported lost.  The striped :class:`~repro.storage.cache.BufferPool`
-must behave identically to the classic single-stripe pool on every
-observable axis.
+reported lost.
 """
 
 import numpy as np
@@ -15,8 +13,7 @@ import pytest
 
 from repro.core.tree import IQTree
 from repro.engine.page_cache import DecodedPageCache
-from repro.exceptions import SearchError, StorageError
-from repro.storage.blockfile import BlockFile
+from repro.exceptions import SearchError
 from repro.storage.cache import BufferPool
 from repro.storage.disk import DiskModel, SimulatedDisk
 from repro.storage.runtime_faults import ReadFaultInjector
@@ -303,76 +300,3 @@ class TestQuarantineInterplay:
         assert any(
             lost.page == touched[0] - start for lost in res.lost_pages
         )
-
-
-class TestStripedBufferPool:
-    def test_stripe_validation(self):
-        with pytest.raises(StorageError):
-            BufferPool(8, stripes=0)
-
-    def make_file(self, n_blocks=32):
-        disk = SimulatedDisk(
-            DiskModel(t_seek=0.01, t_xfer=0.001, block_size=64)
-        )
-        f = BlockFile(disk)
-        for i in range(n_blocks):
-            f.append_block(bytes([i]) * 8)
-        f.seal()
-        return f
-
-    @pytest.mark.parametrize("stripes", [1, 2, 4, 7])
-    def test_striped_pool_matches_unstriped_counters(self, stripes):
-        """Same accesses -> same hits/misses for any stripe count with
-        per-stripe capacity covering the same working set."""
-        accesses = [3, 5, 3, 9, 5, 3, 11, 9, 30, 3, 5]
-        plain = BufferPool(64)
-        striped = BufferPool(64, stripes=stripes)
-        for a in accesses:
-            if not plain.lookup(a):
-                plain.admit(a)
-            if not striped.lookup(a):
-                striped.admit(a)
-        assert striped.hits == plain.hits
-        assert striped.misses == plain.misses
-        assert striped.resident_count == plain.resident_count
-
-    def test_capacity_split_covers_all_stripes(self):
-        pool = BufferPool(10, stripes=4)
-        assert sum(pool._shard_caps) == 10
-        assert max(pool._shard_caps) - min(pool._shard_caps) <= 1
-
-    def test_eviction_is_per_stripe(self):
-        pool = BufferPool(2, stripes=2)
-        pool.admit(0)  # stripe 0
-        pool.admit(2)  # stripe 0 -> evicts 0 (cap 1 per stripe)
-        pool.admit(1)  # stripe 1
-        assert not pool.lookup(0)  # evicted within its own stripe
-        assert pool.lookup(2)
-        assert pool.lookup(1)  # stripe 1 never overflowed
-
-    def test_invalidate_and_clear_across_stripes(self):
-        pool = BufferPool(16, stripes=4)
-        for a in range(8):
-            pool.admit(a)
-        assert pool.resident_count == 8
-        pool.invalidate(5)
-        assert pool.resident_count == 7
-        pool.clear()
-        assert pool.resident_count == 0
-
-    def test_tree_queries_identical_under_striping(self, data, rng):
-        """End to end: a striped pool yields the same results and the
-        same hit/miss accounting as the classic pool."""
-        queries = rng.random((6, 8))
-        ledgers = []
-        for stripes in (1, 4):
-            tree = IQTree.build(
-                data, disk=make_disk(), optimize=False, fixed_bits=6
-            )
-            pool = BufferPool(256, stripes=stripes)
-            tree.use_buffer_pool(pool)
-            ids = [tree.nearest(q, k=5).ids.tolist() for q in queries]
-            ledgers.append(
-                (ids, pool.hits, pool.misses, tree.disk.stats.elapsed)
-            )
-        assert ledgers[0] == ledgers[1]
