@@ -38,19 +38,22 @@ Acceptance thresholds asserted below, from the ISSUEs:
   hosts with >= 4 cores, skipped (and still recorded) elsewhere.
 
 Results land in ``BENCH_parallel.json`` at the repo root so CI can
-track the trajectory.
+track the trajectory -- at full scale only: a run at any other
+``IQ_REPRO_SCALE`` (the CI smoke runs at 0.25) writes its JSON to the
+temp directory instead, so it never overwrites the tracked numbers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import scaled
+from benchmarks.conftest import repro_scale, scaled
 from repro.core.tree import IQTree
 from repro.datasets import make_workload, uniform
 from repro.experiments.harness import experiment_disk
@@ -69,6 +72,16 @@ WALL_BATCH = 64
 WALL_ROUNDS = 3
 #: ISSUE acceptance for the wall-clock section (4-core hosts and up)
 WALL_SPEEDUP_FLOOR = 2.5
+
+
+def artifact_path() -> Path:
+    """Where this run's JSON goes: the tracked root artifact at full
+    scale, a file in the temp directory at any other scale."""
+    if repro_scale() == 1.0:
+        return Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
+    return Path(tempfile.gettempdir()) / (
+        f"BENCH_parallel-scale{repro_scale():g}.json"
+    )
 
 
 def usable_cores() -> int:
@@ -196,8 +209,7 @@ def result() -> dict:
         # amortization, not concurrency, so values below 1 are normal.
         "scaling_efficiency": round(sim_speedup / WORKERS, 3),
     }
-    path = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
-    path.write_text(json.dumps(out, indent=2) + "\n")
+    artifact_path().write_text(json.dumps(out, indent=2) + "\n")
     return out
 
 
@@ -231,8 +243,7 @@ def test_wall_clock_speedup_on_multicore_hosts(result):
 
 
 def test_json_artifact_written(result):
-    path = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
-    data = json.loads(path.read_text())
+    data = json.loads(artifact_path().read_text())
     assert data["speedup_sim"] == result["speedup_sim"]
     assert {
         "serial", "cached_parallel", "scaling_efficiency", "wall_clock"

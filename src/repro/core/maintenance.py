@@ -120,7 +120,9 @@ def locate_point(tree: IQTree, point_id: int) -> int | None:
     """
     point_id = int(point_id)
     if not tree._dirty:
-        return tree._id_to_partition.get(point_id)
+        id_map = tree._id_to_partition
+        page = int(id_map[point_id]) if 0 <= point_id < id_map.size else -1
+        return None if page < 0 else page
     for j, opt in enumerate(tree._partitions):
         if np.any(opt.partition.indices == point_id):
             return j

@@ -117,7 +117,8 @@ class IQTree:
         #: Elias-Fano reference columns ("auto" resolves at layout).
         self.directory_codec = directory_codec
         self._dirty = True
-        self._id_to_partition: dict[int, int] = {}
+        #: point id -> page holding it (-1: no page), built by _layout
+        self._id_to_partition = np.empty(0, dtype=np.int64)
         self._pool = None
         #: optional FaultContext (retry policy + quarantine) consulted
         #: by the query paths; None = fail-fast on any StorageError.
@@ -300,15 +301,12 @@ class IQTree:
 
         quant_file = BlockFile(self.disk, "quantized")
         exact_file = BlockFile(self.disk, "exact")
-        self._id_to_partition.clear()
 
         for j, opt in enumerate(self._partitions):
             part, g = opt.partition, opt.bits
             pts = part.points(self._points)
             ids = part.indices
             part_ids.append(ids)
-            for pid in ids:
-                self._id_to_partition[int(pid)] = j
             lowers[j] = part.mbr.lower
             uppers[j] = part.mbr.upper
             counts[j] = part.size
@@ -398,6 +396,11 @@ class IQTree:
         self._exact_firsts = decoded["exact_firsts"]
         self._exact_blocks = decoded["exact_counts"]
         self._part_ids = part_ids
+        id_map = np.full(self._points.shape[0], -1, dtype=np.int64)
+        id_map[np.concatenate(part_ids)] = np.repeat(
+            np.arange(n_parts), counts
+        )
+        self._id_to_partition = id_map
         if self._decoded_cache is not None:
             # Page indices were just reassigned wholesale; every cached
             # decode is addressed by a now-meaningless key.

@@ -141,6 +141,25 @@ class TestDelete:
             tree.delete(0)
 
 
+class TestLocatePoint:
+    def test_clean_and_dirty_lookups_agree(self, tree):
+        from repro.core.maintenance import locate_point
+
+        tree.delete(11)
+        tree.nearest(np.full(8, 0.5))  # re-layout: a clean tree
+        assert not tree._dirty
+        clean = [locate_point(tree, pid) for pid in range(tree.n_points)]
+        for j, opt in enumerate(tree._partitions):
+            assert {clean[pid] for pid in opt.partition.indices} == {j}
+        assert clean[11] is None
+        for pid in (-1, tree.n_points, 10**9):
+            assert locate_point(tree, pid) is None
+        tree._dirty = True  # the partition-scan path
+        assert [
+            locate_point(tree, pid) for pid in range(tree.n_points)
+        ] == clean
+
+
 class TestReoptimize:
     def test_reoptimize_after_churn(self, tree, rng):
         for _ in range(50):

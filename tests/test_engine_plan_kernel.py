@@ -27,11 +27,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.tree import IQTree
 from repro.engine import QueryEngine
+from repro.core.search import KBest
 from repro.engine.kernels import (
     PageStack,
     PageTable,
     PlanTask,
+    assemble_knn_query,
     cell_boxes,
+    interval_for,
     plan_shard,
 )
 from repro.engine.shm import SharedArena
@@ -321,6 +324,66 @@ class TestPlanKernelsMatchPerPageOracle:
                 query, k, np.array([0]), {}, sc["bounds"], EUCLIDEAN
             )
             assert plan["refine"] == want["refine"]
+
+
+# ----------------------------------------------------------------------
+# Assembly: refined records offered as one array
+# ----------------------------------------------------------------------
+def reference_assemble_knn(query, k, plan, points, table, metric):
+    """The kNN assembly offering each refinement in turn."""
+    best = KBest(k)
+    intervals = {}
+    best.offer_many(plan["exact_dists"], plan["exact_ids"])
+    for key in plan["refine"]:
+        if key in points:
+            coords, pid = points[key]
+            best.offer(float(metric.distances(query, coords[None])[0]), pid)
+        else:
+            pid, lo, hi = interval_for(query, key, table, metric)
+            intervals[pid] = (lo, hi)
+            best.offer(hi, pid)
+    ids, dists = best.sorted_results()
+    return ids, dists, intervals
+
+
+class TestAssembleKnn:
+    @settings(max_examples=300, deadline=None)
+    @given(sc=scenarios(), data=st.data())
+    def test_array_offer_matches_offers_in_turn(self, sc, data):
+        """Refined records on the grid (ties at the k-th distance), some
+        unreadable: the same ids, distance bytes and intervals."""
+        n = sc["n_points"]
+        k = data.draw(st.integers(1, max(1, n) + 2))
+        table = stacked_table(sc)
+        task = PlanTask(
+            queries=sc["queries"], k=k, cand_mask=sc["cand_mask"],
+            lost=sc["lost"], metric=sc["metric"], table=table,
+        )
+        plans = plan_shard(task, range(len(sc["queries"])), None)
+        coord = st.integers(0, 3).map(lambda v: v / 2.0)
+        (ids,) = table.quant.rows
+        for i, plan in enumerate(plans):
+            points = {
+                key: (
+                    np.array(
+                        data.draw(
+                            st.lists(
+                                coord, min_size=sc["dim"],
+                                max_size=sc["dim"],
+                            )
+                        )
+                    ),
+                    int(ids[table.quant.row(*key)]),
+                )
+                for key in plan["refine"]
+                if data.draw(st.booleans())
+            }
+            args = (sc["queries"][i], k, plan, points, table, sc["metric"])
+            got_ids, got_dists, got_iv = assemble_knn_query(*args)
+            want_ids, want_dists, want_iv = reference_assemble_knn(*args)
+            assert got_ids.tobytes() == want_ids.tobytes()
+            assert got_dists.tobytes() == want_dists.tobytes()
+            assert got_iv == want_iv
 
 
 # ----------------------------------------------------------------------
